@@ -1,14 +1,14 @@
 """Batched prediction serving on top of the fast engine.
 
-The PR 1-3 engine work made one fused-ensemble pass over an
-:class:`~repro.arch.events.EventBatch` dramatically cheaper than the
-equivalent loop of scalar calls; this module is the request/response
-layer that exploits it.  :class:`PredictionService` accepts individual
-:class:`PredictRequest` objects (one simulation interval each), coalesces
-them per configuration into event batches, runs one batched model call
-per (configuration, chunk), and scatters the results back into
-per-request :class:`PredictResponse` objects — bitwise-equal to what the
-request-at-a-time loop would have produced, at a fraction of the cost.
+One model pass over an :class:`~repro.arch.events.EventBatch` is far
+cheaper than the equivalent loop of scalar calls; this module is the
+request/response layer that exploits it.  :class:`PredictionService`
+accepts individual :class:`PredictRequest` objects (one simulation
+interval each), coalesces them per configuration into event batches,
+runs one batched model call per configuration, and scatters the results
+back into per-request :class:`PredictResponse` objects — bitwise-equal
+to what the request-at-a-time loop would have produced, at a fraction of
+the cost.
 
 Request kinds:
 
@@ -18,10 +18,6 @@ Request kinds:
 * ``"trace"`` — per-window power trace from activity scales; methods
   with ``predict_trace`` only (AutoPower).
 
-``n_jobs`` fans the per-configuration batch calls out through
-:mod:`repro.parallel` (the numbers are backend-independent);
-``max_batch_size`` caps how many intervals one model call sees, so a
-service embedded in a latency-sensitive loop can bound its chunk cost.
 :meth:`PredictionService.stream` is the incremental variant: it consumes
 any request iterable lazily and yields responses in request order with
 bounded buffering.
@@ -39,7 +35,6 @@ import numpy as np
 from repro.arch.config import BoomConfig, config_by_name
 from repro.arch.events import EventBatch, EventParams
 from repro.arch.workloads import Workload, workload_by_name
-from repro.parallel import get_executor
 
 __all__ = ["PredictRequest", "PredictResponse", "PredictionService", "ServiceStats"]
 
@@ -142,13 +137,6 @@ class ServiceStats:
     # readers on another thread than the submitter (e.g. /stats).
 
 
-def _predict_totals_task(payload: dict) -> np.ndarray:
-    """One coalesced totals call — the picklable executor task."""
-    return payload["model"].predict_totals(
-        payload["config"], payload["batch"], payload["workload"]
-    )
-
-
 def _workload_arg(workloads: list) -> Any:
     """Collapse a per-row workload list to what the batch APIs expect."""
     if all(w is None for w in workloads):
@@ -168,13 +156,6 @@ class PredictionService:
     ----------
     model:
         Any fitted :class:`repro.api.protocol.PowerModel`.
-    n_jobs / backend:
-        Parallel fan-out of the per-configuration batch calls through
-        :mod:`repro.parallel` (``None`` defers to ``--jobs`` /
-        ``REPRO_JOBS``; results are backend-independent).
-    max_batch_size:
-        Upper bound on intervals per coalesced model call (``None`` =
-        unbounded).
 
     Thread safety: :meth:`submit_many` may be called concurrently from
     multiple threads (the async gateway offloads submissions to a worker
@@ -185,19 +166,8 @@ class PredictionService:
     under a lock.
     """
 
-    def __init__(
-        self,
-        model: Any,
-        n_jobs: int | None = None,
-        backend: str | None = None,
-        max_batch_size: int | None = None,
-    ) -> None:
-        if max_batch_size is not None and max_batch_size < 1:
-            raise ValueError("max_batch_size must be positive")
+    def __init__(self, model: Any) -> None:
         self.model = model
-        self.n_jobs = n_jobs
-        self.backend = backend
-        self.max_batch_size = max_batch_size
         self.stats = ServiceStats()  # guarded-by: _stats_lock
         self._stats_lock = threading.Lock()
 
@@ -227,10 +197,9 @@ class PredictionService:
         """Serve a batch of requests; responses come back in order.
 
         ``total`` requests sharing a configuration coalesce into one
-        :class:`EventBatch` ``predict_totals`` call (chunked by
-        ``max_batch_size``) and fan out across the executor; ``report``
-        requests batch through ``predict_reports`` per configuration;
-        ``trace`` requests run one batched anchor sweep each.
+        :class:`EventBatch` ``predict_totals`` call; ``report`` requests
+        batch through ``predict_reports`` per configuration; ``trace``
+        requests run one batched anchor sweep each.
         """
         requests = list(requests)
         self._validate(requests)
@@ -238,37 +207,20 @@ class PredictionService:
         batched_intervals = 0
         responses: list[PredictResponse | None] = [None] * len(requests)
 
-        # -- totals: coalesce per config, chunk, fan out -----------------
-        chunks: list[tuple[list[int], dict]] = []
-        for part in self._config_chunks(requests, "total"):
-            chunks.append(
-                (
-                    part,
-                    {
-                        "model": self.model,
-                        "config": requests[part[0]].config,
-                        "batch": EventBatch.from_events(
-                            [requests[i].events for i in part]
-                        ),
-                        "workload": _workload_arg(
-                            [requests[i].workload for i in part]
-                        ),
-                    },
-                )
+        # -- totals: one batched call per config ----------------------------
+        for part in self._config_groups(requests, "total"):
+            totals = self.model.predict_totals(
+                requests[part[0]].config,
+                EventBatch.from_events([requests[i].events for i in part]),
+                _workload_arg([requests[i].workload for i in part]),
             )
-        if chunks:
-            executor = get_executor(self.n_jobs, self.backend)
-            totals = executor.map(_predict_totals_task, [p for _, p in chunks])
-            model_calls += len(chunks)
-            for (part, _payload), values in zip(chunks, totals):
-                batched_intervals += len(part)
-                for i, value in zip(part, np.asarray(values, dtype=float)):
-                    responses[i] = self._response(
-                        requests[i], total=float(value)
-                    )
+            model_calls += 1
+            batched_intervals += len(part)
+            for i, value in zip(part, np.asarray(totals, dtype=float)):
+                responses[i] = self._response(requests[i], total=float(value))
 
         # -- reports: batch per config where the model supports it -------
-        for part in self._config_chunks(requests, "report"):
+        for part in self._config_groups(requests, "report"):
             reports, n_calls = self._predict_reports(part, requests)
             model_calls += n_calls
             batched_intervals += len(part)
@@ -324,30 +276,26 @@ class PredictionService:
                 raise TypeError(
                     f"{type(self.model).__name__} does not support trace requests"
                 )
-        # Workload mixing is a per-chunk property: every coalesced model
-        # call needs either all-workload or no-workload rows.  Checking the
-        # exact chunks the execution phases will use keeps the semantics
-        # identical (a max_batch_size split that happens to separate the
-        # mix stays accepted) while firing *before* any model call.
-        for part in self._config_chunks(requests, "total"):
+        # Workload mixing is a per-call property: every coalesced model
+        # call needs either all-workload or no-workload rows.  Checking
+        # the groups the execution phases will use fires *before* any
+        # model call.
+        for part in self._config_groups(requests, "total"):
             _workload_arg([requests[i].workload for i in part])
         if callable(getattr(self.model, "predict_reports", None)):
-            for part in self._config_chunks(requests, "report"):
+            for part in self._config_groups(requests, "report"):
                 _workload_arg([requests[i].workload for i in part])
 
-    def _config_chunks(
-        self, requests: list[PredictRequest], kind: str
-    ) -> Iterator[list[int]]:
-        """Same-config request-index chunks of one kind, capped by
-        ``max_batch_size`` — the coalescing unit of one model call."""
+    @staticmethod
+    def _config_groups(requests: list[PredictRequest], kind: str) -> list[list[int]]:
+        """Request indices of one kind, grouped per configuration — the
+        coalescing unit of one model call (every batch API takes one
+        configuration)."""
         groups: dict[str, list[int]] = {}
         for i, req in enumerate(requests):
             if req.kind == kind:
                 groups.setdefault(req.config.name, []).append(i)
-        for indices in groups.values():
-            step = self.max_batch_size or len(indices)
-            for start in range(0, len(indices), step):
-                yield indices[start : start + step]
+        return list(groups.values())
 
     @staticmethod
     def _response(req: PredictRequest, **payload) -> PredictResponse:
@@ -359,7 +307,7 @@ class PredictionService:
         )
 
     def _predict_reports(self, part: list[int], requests: list[PredictRequest]):
-        """Reports for one same-config chunk: (reports, model calls made)."""
+        """Reports for one same-config group: (reports, model calls made)."""
         config = requests[part[0]].config
         predict_reports = getattr(self.model, "predict_reports", None)
         if predict_reports is not None:

@@ -14,6 +14,7 @@ feature extractors, not stored here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -106,8 +107,10 @@ class EventParams:
         if missing:
             raise ValueError(f"missing event names: {sorted(missing)}")
         for name, value in self.counts.items():
-            if value < 0:
-                raise ValueError(f"event {name} is negative: {value}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"event {name} must be finite and non-negative: {value}"
+                )
         if self.counts["cycles"] <= 0:
             raise ValueError("cycles must be positive")
 
@@ -171,8 +174,8 @@ class EventBatch:
             )
         if matrix.shape[0] == 0:
             raise ValueError("event matrix must have at least one row")
-        if np.any(matrix < 0):
-            raise ValueError("event counts must be non-negative")
+        if not (np.isfinite(matrix).all() and (matrix >= 0).all()):
+            raise ValueError("event counts must be finite and non-negative")
         if np.any(matrix[:, _EVENT_INDEX["cycles"]] <= 0):
             raise ValueError("cycles must be positive")
         self.matrix = matrix

@@ -11,6 +11,8 @@ experiment.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.arch.components import COMPONENTS
@@ -19,6 +21,7 @@ from repro.arch.events import EVENT_NAMES, EventBatch, EventParams
 from repro.arch.workloads import Workload
 from repro.core.clock import ClockPowerModel
 from repro.core.logic import LogicPowerModel
+from repro.core.plan import InferencePlan
 from repro.core.sram import SramPowerModel
 from repro.library.stdcell import TechLibrary, default_library
 from repro.parallel import Executor, get_executor
@@ -113,6 +116,19 @@ class AutoPower:
         self.logic_model = LogicPowerModel(ridge_alpha, gbm_params, random_state)
         self.train_config_names: tuple[str, ...] = ()
         self._fitted = False
+        self._plan_lock = threading.Lock()
+        self._plan: InferencePlan | None = None  # guarded-by: _plan_lock
+
+    def __getstate__(self) -> dict:
+        # The plan is derived (rebuilt on demand) and the lock can't pickle.
+        state = dict(self.__dict__)
+        del state["_plan_lock"], state["_plan"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._plan_lock = threading.Lock()
+        self._plan = None
 
     # ------------------------------------------------------------------
     def _executor(
@@ -165,12 +181,25 @@ class AutoPower:
             if res.config.name not in seen:
                 seen.append(res.config.name)
         self.train_config_names = tuple(seen)
+        with self._plan_lock:
+            self._plan = None  # compiled from the previous sub-models
         self._fitted = True
         return self
 
     def _require_fit(self) -> None:
         if not self._fitted:
             raise RuntimeError("AutoPower used before fit")
+
+    def _inference_plan(self) -> InferencePlan:
+        """The fused inference plan, built on first use (thread-safe)."""
+        self._require_fit()
+        plan = self._plan
+        if plan is None:
+            with self._plan_lock:
+                if self._plan is None:
+                    self._plan = InferencePlan(self)
+                plan = self._plan
+        return plan
 
     # ------------------------------------------------------------------
     def to_state(self) -> dict:
@@ -193,30 +222,7 @@ class AutoPower:
         self, config: BoomConfig, events: EventParams, workload: Workload
     ) -> PowerReport:
         """Predicted per-component, per-group power report."""
-        self._require_fit()
-        components = []
-        for comp in COMPONENTS:
-            clock = self.clock_model.predict_component(comp.name, config, events)
-            sram = self.sram_model.predict_component(
-                comp.name, config, events, workload
-            )
-            register, comb = self.logic_model.predict_component(
-                comp.name, config, events
-            )
-            components.append(
-                ComponentPower(
-                    name=comp.name,
-                    clock=clock,
-                    sram=sram,
-                    register=register,
-                    comb=comb,
-                )
-            )
-        return PowerReport(
-            config_name=config.name,
-            workload_name=workload.name,
-            components=tuple(components),
-        )
+        return self.predict_reports(config, events, workload)[0]
 
     def predict_total(
         self, config: BoomConfig, events: EventParams, workload: Workload
@@ -232,16 +238,12 @@ class AutoPower:
 
         ``events`` is an :class:`EventBatch` or a sequence of
         :class:`EventParams`; ``workload`` is a single workload or one per
-        interval.  Every sub-model evaluates the full feature matrix in
-        one pass — hardware-only sub-models once per component — instead
-        of intervals x components x groups scalar calls.
+        interval.  One pass of the fused inference plan covers every
+        component, group and interval.
         """
-        self._require_fit()
+        plan = self._inference_plan()
         batch = EventBatch.from_events(events)
         n = len(batch)
-        clock = self.clock_model.predict_batch(config, batch)
-        sram = self.sram_model.predict_batch(config, batch, workload)
-        logic = self.logic_model.predict_batch(config, batch)
         if isinstance(workload, Workload):
             workload_names = [workload.name] * n
         else:
@@ -250,44 +252,37 @@ class AutoPower:
                 raise ValueError(
                     f"got {len(workload_names)} workloads for {n} intervals"
                 )
-        reports = []
-        for i in range(n):
-            components = tuple(
-                ComponentPower(
-                    name=comp.name,
-                    clock=float(clock[comp.name][i]),
-                    sram=float(sram[comp.name][i]) if comp.name in sram else 0.0,
-                    register=float(logic[comp.name][0][i]),
-                    comb=float(logic[comp.name][1][i]),
-                )
-                for comp in COMPONENTS
+        clock, register, comb, sram = plan.groups(config, batch, workload)
+        clock, register, comb = clock.T.tolist(), register.T.tolist(), comb.T.tolist()
+        zeros = [0.0] * n
+        sram_rows = [
+            sram[comp.name].tolist() if comp.name in sram else zeros
+            for comp in COMPONENTS
+        ]
+        return [
+            PowerReport(
+                config_name=config.name,
+                workload_name=workload_names[i],
+                components=tuple(
+                    ComponentPower(
+                        name=comp.name,
+                        clock=clock[i][c],
+                        sram=sram_rows[c][i],
+                        register=register[i][c],
+                        comb=comb[i][c],
+                    )
+                    for c, comp in enumerate(COMPONENTS)
+                ),
             )
-            reports.append(
-                PowerReport(
-                    config_name=config.name,
-                    workload_name=workload_names[i],
-                    components=components,
-                )
-            )
-        return reports
+            for i in range(n)
+        ]
 
     def predict_totals(
         self, config: BoomConfig, events, workload
     ) -> np.ndarray:
         """Predicted total power per interval of a batch, in mW."""
-        self._require_fit()
-        batch = EventBatch.from_events(events)
-        clock = self.clock_model.predict_batch(config, batch)
-        sram = self.sram_model.predict_batch(config, batch, workload)
-        logic = self.logic_model.predict_batch(config, batch)
-        total = np.zeros(len(batch))
-        for comp in COMPONENTS:
-            name = comp.name
-            register, comb = logic[name]
-            total += clock[name] + register + comb
-            if name in sram:
-                total += sram[name]
-        return total
+        plan = self._inference_plan()
+        return plan.totals(config, EventBatch.from_events(events), workload)
 
     def predict_group(
         self, config: BoomConfig, events: EventParams, workload: Workload, group: str

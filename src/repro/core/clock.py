@@ -191,17 +191,26 @@ class ClockPowerModel:
             raise RuntimeError("ClockPowerModel used before fit")
 
     # -- sub-model access ------------------------------------------------
+    def hardware_terms(self, component: str, h: np.ndarray) -> tuple[float, float]:
+        """(R, g) of one component from its polynomial H row (1 x k):
+        register count and gating rate clipped to [0, 1]."""
+        model = self._models[component]
+        return (
+            float(model.f_reg.predict(h)[0]),
+            float(np.clip(model.f_gate.predict(h)[0], 0.0, 1.0)),
+        )
+
     def predict_register_count(self, component: str, config: BoomConfig) -> float:
         """Predicted register count R of one component."""
         self._require_fit()
         h = polynomial_hardware_features(config, component).reshape(1, -1)
-        return float(self._models[component].f_reg.predict(h)[0])
+        return self.hardware_terms(component, h)[0]
 
     def predict_gating_rate(self, component: str, config: BoomConfig) -> float:
         """Predicted gating rate g of one component, clipped to [0, 1]."""
         self._require_fit()
         h = polynomial_hardware_features(config, component).reshape(1, -1)
-        return float(np.clip(self._models[component].f_gate.predict(h)[0], 0.0, 1.0))
+        return self.hardware_terms(component, h)[1]
 
     def predict_effective_active_rate(
         self, component: str, config: BoomConfig, events: EventParams
@@ -240,19 +249,24 @@ class ClockPowerModel:
         sees the event matrix, in a single batched pass.
         """
         self._require_fit()
-        p_reg = self.library.p_reg_mw
         n = len(events)
         out: dict[str, np.ndarray] = {}
         for comp in COMPONENTS:
             name = comp.name
-            r = self.predict_register_count(name, config)
-            g = self.predict_gating_rate(name, config)
+            h = polynomial_hardware_features(config, name).reshape(1, -1)
+            r, g = self.hardware_terms(name, h)
             x = np.hstack(
                 [
                     np.tile(hardware_features(config, name), (n, 1)),
                     event_features_batch(events, name, config, include_raw=False),
                 ]
             )
-            alpha = np.maximum(self._models[name].f_alpha.predict(x), 0.0)
-            out[name] = np.maximum(r * (1.0 - g) * p_reg + alpha * r * g, 0.0)
+            out[name] = self.power(r, g, self._models[name].f_alpha.predict(x))
         return out
+
+    def power(self, r, g, alpha_raw: np.ndarray) -> np.ndarray:
+        """Eq. 7 on arrays: clock power from R, g and the raw alpha' GBM
+        output (clipped at zero here).  Broadcasts, so one call can cover
+        many components."""
+        alpha = np.maximum(alpha_raw, 0.0)
+        return np.maximum(r * (1.0 - g) * self.library.p_reg_mw + alpha * r * g, 0.0)

@@ -151,7 +151,7 @@ class RegisterPowerModel:
         if not self._fitted:
             raise RuntimeError("RegisterPowerModel used before fit")
         h = polynomial_hardware_features(config, component).reshape(1, -1)
-        registers = max(float(self._f_reg[component].predict(h)[0]), 0.0)
+        registers = self.hardware_term(component, h)
         x = _he_features(config, events, component).reshape(1, -1)
         per_register = max(float(self._f_act[component].predict(x)[0]), 0.0)
         return registers * per_register
@@ -166,11 +166,15 @@ class RegisterPowerModel:
         for comp in COMPONENTS:
             name = comp.name
             h = polynomial_hardware_features(config, name).reshape(1, -1)
-            registers = max(float(self._f_reg[name].predict(h)[0]), 0.0)
             x = _he_features_batch(config, events, name)
-            per_register = np.maximum(self._f_act[name].predict(x), 0.0)
-            out[name] = registers * per_register
+            out[name] = self.hardware_term(name, h) * np.maximum(
+                self._f_act[name].predict(x), 0.0
+            )
         return out
+
+    def hardware_term(self, component: str, h: np.ndarray) -> float:
+        """Register count F_reg(H) from one polynomial H row (1 x k)."""
+        return max(float(self._f_reg[component].predict(h)[0]), 0.0)
 
 
 class CombPowerModel:
@@ -249,7 +253,7 @@ class CombPowerModel:
         if not self._fitted:
             raise RuntimeError("CombPowerModel used before fit")
         h = polynomial_hardware_features(config, component).reshape(1, -1)
-        stable = max(float(self._f_sta[component].predict(h)[0]), 0.0)
+        stable = self.hardware_term(component, h)
         x = _he_features(config, events, component).reshape(1, -1)
         variation = max(float(self._f_var[component].predict(x)[0]), 0.0)
         return stable * variation
@@ -264,11 +268,15 @@ class CombPowerModel:
         for comp in COMPONENTS:
             name = comp.name
             h = polynomial_hardware_features(config, name).reshape(1, -1)
-            stable = max(float(self._f_sta[name].predict(h)[0]), 0.0)
             x = _he_features_batch(config, events, name)
-            variation = np.maximum(self._f_var[name].predict(x), 0.0)
-            out[name] = stable * variation
+            out[name] = self.hardware_term(name, h) * np.maximum(
+                self._f_var[name].predict(x), 0.0
+            )
         return out
+
+    def hardware_term(self, component: str, h: np.ndarray) -> float:
+        """Stable power F_sta(H) from one polynomial H row (1 x k)."""
+        return max(float(self._f_sta[component].predict(h)[0]), 0.0)
 
 
 class LogicPowerModel:

@@ -397,21 +397,40 @@ class SramPowerModel:
         """
         self._require_fit()
         model = self._positions[position]
-        block = self.predict_block(position, config)
         if x is None:
             x = self._activity_features_batch(config, events, workload, model.component)
-        read = np.maximum(model.f_read.predict(x), 0.0)
-        write = np.maximum(model.f_write.predict(x), 0.0)
+        return self.position_power(
+            self.position_terms(position, config),
+            model.f_read.predict(x),
+            model.f_write.predict(x),
+        )
+
+    def position_terms(
+        self, position: str, config: BoomConfig
+    ) -> tuple[int, int, float, float]:
+        """The hardware-only terms of one position's power: (blocks x
+        macros per block, macro columns, macro read pJ, macro write pJ)."""
+        block = self.predict_block(position, config)
         mapping = self.mapper.map(block.width, block.depth)
-        macro = mapping.macro
+        return (
+            block.count * mapping.n_macros,
+            mapping.n_col,
+            mapping.macro.read_energy_pj,
+            mapping.macro.write_energy_pj,
+        )
+
+    def position_power(self, terms, read_raw: np.ndarray, write_raw: np.ndarray):
+        """Eqs. 9-10 on arrays: position power from :meth:`position_terms`
+        and the raw read/write GBM outputs (clipped at zero here).
+        Broadcasts, so one call can cover many positions."""
+        macros, n_col, read_pj, write_pj = terms
+        read = np.maximum(read_raw, 0.0)
+        write = np.maximum(write_raw, 0.0)
         per_macro = (
-            self.library.power_mw(
-                read / mapping.n_col * macro.read_energy_pj
-                + write / mapping.n_col * macro.write_energy_pj
-            )
+            self.library.power_mw(read / n_col * read_pj + write / n_col * write_pj)
             + self.c_constant_mw
         )
-        return block.count * mapping.n_macros * per_macro
+        return macros * per_macro
 
     def predict_batch(
         self, config: BoomConfig, events: EventBatch, workload

@@ -20,9 +20,9 @@ implements the regularized tree-boosting algorithm directly:
 The fused inference ensemble is assembled *incrementally during fit* —
 each round appends its tree's remapped node arrays — so the first predict
 after a fit pays one concatenation instead of a per-tree rebuild.
-Inference then accumulates every tree in one lockstep vectorized descent
-(all rows x all trees advance one level per step — no per-row or per-tree
-Python), which makes batched prediction essentially free.
+Inference is the one-ensemble case of :meth:`repro.ml.forest.Forest.
+sum_values`: all rows x all trees advance one level per step — no
+per-row or per-tree Python.
 
 Like real tree ensembles, the model cannot predict outside the range of
 training targets — the very property the paper exploits when arguing that
@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml._kernel import get_kernel
+from repro.ml.forest import Forest
 from repro.ml.tree import (
     FlatTree,
     HistogramBinner,
@@ -43,99 +44,6 @@ from repro.ml.tree import (
 )
 
 __all__ = ["GradientBoostingRegressor"]
-
-
-class _FlatEnsemble:
-    """All trees of a fitted ensemble concatenated into one node-array set.
-
-    Features are remapped through each tree's column subsample so inference
-    reads the full feature matrix directly.  Leaves are encoded as
-    self-loops (``left == right == self``, threshold ``+inf``) so the
-    lockstep descent needs no leaf masking: a row that reached its leaf
-    simply stays there while deeper trees keep routing.
-
-    ``fit`` assembles the arrays incrementally (one append per boosting
-    round, concatenated once); this constructor remains for externally
-    assembled models (deserialization).
-    """
-
-    __slots__ = ("feature", "threshold", "left", "right", "value", "roots", "depth")
-
-    def __init__(self, trees: list[tuple[RegressionTree, np.ndarray]]) -> None:
-        features = []
-        thresholds = []
-        lefts = []
-        rights = []
-        values = []
-        roots = []
-        offset = 0
-        depth = 0
-        for tree, cols in trees:
-            flat = tree.ensure_flat()
-            n = flat.n_nodes
-            leaf = flat.feature < 0
-            node_ids = np.arange(n, dtype=np.int32) + offset
-            features.append(np.where(leaf, 0, cols[np.where(leaf, 0, flat.feature)]))
-            thresholds.append(np.where(leaf, np.inf, flat.threshold))
-            lefts.append(np.where(leaf, node_ids, flat.left + offset))
-            rights.append(np.where(leaf, node_ids, flat.right + offset))
-            values.append(flat.value)
-            roots.append(offset)
-            offset += n
-            depth = max(depth, flat.depth)
-        self.feature = np.concatenate(features).astype(np.int32)
-        self.threshold = np.concatenate(thresholds)
-        self.left = np.concatenate(lefts).astype(np.int32)
-        self.right = np.concatenate(rights).astype(np.int32)
-        self.value = np.concatenate(values)
-        self.roots = np.array(roots, dtype=np.int32)
-        self.depth = depth
-
-    @classmethod
-    def _from_parts(
-        cls,
-        feature: np.ndarray,
-        threshold: np.ndarray,
-        left: np.ndarray,
-        right: np.ndarray,
-        value: np.ndarray,
-        roots: np.ndarray,
-        depth: int,
-    ) -> _FlatEnsemble:
-        ens = object.__new__(cls)
-        ens.feature = feature
-        ens.threshold = threshold
-        ens.left = left
-        ens.right = right
-        ens.value = value
-        ens.roots = roots
-        ens.depth = depth
-        return ens
-
-    def sum_values(self, X: np.ndarray) -> np.ndarray:
-        """Sum of every tree's leaf value per row (before shrinkage).
-
-        Single-tree ensembles skip the broadcast copy (the descent only
-        reassigns ``node``, never writes into it).  Once every row of
-        every tree sits on a leaf self-loop the state stops changing and
-        the loop exits early; the equality probe only pays for itself on
-        deep ensembles, so shallow ones skip it.
-        """
-        n = X.shape[0]
-        t = self.roots.size
-        node = np.broadcast_to(self.roots, (n, t))
-        if t > 1:
-            node = node.copy()
-        rows = np.arange(n)[:, None]
-        depth = self.depth
-        for level in range(depth):
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            nxt = np.where(go_left, self.left[node], self.right[node])
-            # Probe only when it can still skip >= 2 deeper passes.
-            if level >= 3 and depth - level > 1 and np.array_equal(nxt, node):
-                break
-            node = nxt
-        return self.value[node].sum(axis=1)
 
 
 class GradientBoostingRegressor:
@@ -225,7 +133,7 @@ class GradientBoostingRegressor:
         self.train_losses_: list[float] = []
         self.n_features_: int = 0
         self._fitted = False
-        self._ensemble: _FlatEnsemble | None = None
+        self._ensemble: Forest | None = None
 
     # ------------------------------------------------------------------
     def fit(self, X, y) -> GradientBoostingRegressor:
@@ -375,13 +283,14 @@ class GradientBoostingRegressor:
                     rounds_since_best += 1
                     if rounds_since_best >= self.early_stopping_rounds:
                         break
-        self._ensemble = _FlatEnsemble._from_parts(
+        self._ensemble = Forest(
             np.concatenate(ens_feature).astype(np.int32, copy=False),
             np.concatenate(ens_threshold),
             np.concatenate(ens_left).astype(np.int32, copy=False),
             np.concatenate(ens_right).astype(np.int32, copy=False),
             np.concatenate(ens_value),
             np.array(ens_roots, dtype=np.int32),
+            np.array([0, len(ens_roots)], dtype=np.int64),
             ens_depth,
         )
         self._fitted = True
@@ -461,10 +370,10 @@ class GradientBoostingRegressor:
             self.trees_.append((tree, all_cols))
         end = int(tree_off[rounds])
         self.train_losses_ = losses[:rounds].tolist()
-        self._ensemble = _FlatEnsemble._from_parts(
+        self._ensemble = Forest(
             ens_feat[:end], ens_thr[:end], ens_left[:end], ens_right[:end],
             val[:end], tree_off[:rounds].astype(np.int32),
-            int(depths[:rounds].max()),
+            np.array([0, rounds], dtype=np.int64), int(depths[:rounds].max()),
         )
         self._fitted = True
 
@@ -484,14 +393,15 @@ class GradientBoostingRegressor:
             )
         return X
 
-    def _flat_ensemble(self) -> _FlatEnsemble:
+    def _flat_ensemble(self) -> Forest:
+        """The fitted ensemble as a one-ensemble :class:`Forest`."""
         if self._ensemble is None:
-            self._ensemble = _FlatEnsemble(self.trees_)
+            self._ensemble = Forest.from_ensembles([(self.trees_, 0)])
         return self._ensemble
 
     def predict(self, X) -> np.ndarray:
         X = self._validated(X)
-        return self.base_score_ + self.learning_rate * self._flat_ensemble().sum_values(X)
+        return self.base_score_ + self.learning_rate * self._flat_ensemble().sum_values(X)[0]
 
     def staged_predict(self, X):
         """Yield predictions after each boosting round (for diagnostics)."""

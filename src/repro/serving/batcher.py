@@ -10,7 +10,7 @@ the ``max_wait_ms`` window since the batch's first request expires —
 with no wait at all for traffic that is already queued), and each batch
 becomes one :meth:`~repro.api.service.PredictionService.submit_many`
 call.  Results are bitwise-equal to direct per-request service calls:
-the service pins that chunking never changes values.
+the service pins that coalescing never changes values.
 
 The blocking model call runs on a private *daemon* worker thread, so
 the event loop keeps accepting and queueing new requests while a flush
@@ -40,7 +40,7 @@ Layered on top is the resilience contract from
 
 Two requests from unrelated callers may disagree on whether they carry
 a workload; ``submit_many`` rejects such a mix inside one coalesced
-chunk, so a flush partitions its batch into workload-carrying and
+per-configuration call, so a flush partitions its batch into workload-carrying and
 workload-free halves first.  If a batch call still fails, the batch is
 retried request-by-request so one poison request cannot fail its
 flush-mates.
@@ -409,7 +409,7 @@ class MicroBatcher:
         self.flushed_requests += len(batch)
         self.max_flush_size = max(self.max_flush_size, len(batch))
         live = self._shed_expired(batch)
-        # submit_many rejects coalesced chunks that mix workload-carrying
+        # submit_many rejects coalesced calls that mix workload-carrying
         # and workload-free rows; unrelated callers may mix, so partition.
         with_workload = [p for p in live if p.request.workload is not None]
         without = [p for p in live if p.request.workload is None]

@@ -146,9 +146,6 @@ class ModelFleet:
     max_batch_size / max_wait_ms / resilience / clock:
         Per-entry :class:`~repro.serving.batcher.MicroBatcher` knobs —
         every entry gets its own batcher built from the same knobs.
-    service_kwargs:
-        Passed to :class:`~repro.api.service.PredictionService` for
-        models loaded at runtime (``n_jobs=...``).
 
     All mutating operations run on the gateway's event loop and are
     serialized by one admin lock, so concurrent ``PUT``/``DELETE``
@@ -163,7 +160,6 @@ class ModelFleet:
         max_wait_ms: float = 2.0,
         resilience: ResilienceConfig | None = None,
         clock: Callable[[], float] | None = None,
-        service_kwargs: dict | None = None,
     ) -> None:
         if max_models < 1:
             raise ValueError("max_models must be positive")
@@ -173,7 +169,6 @@ class ModelFleet:
         self.max_wait_ms = max_wait_ms
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         self._clock = clock
-        self.service_kwargs = dict(service_kwargs or {})
         self._entries: dict[str, FleetEntry] = {}  # insertion order = LRU
         self._lock = asyncio.Lock()
         self._started = False
@@ -186,8 +181,9 @@ class ModelFleet:
     def _new_entry(
         self, name: str, model: Any, source: str, generation: int = 1
     ) -> FleetEntry:
-        service = PredictionService(model, **self.service_kwargs)
-        return self._entry_for_service(name, service, source, generation)
+        return self._entry_for_service(
+            name, PredictionService(model), source, generation
+        )
 
     def _entry_for_service(
         self,
@@ -219,13 +215,6 @@ class ModelFleet:
         if self._started:
             raise RuntimeError("use load() once the fleet is running")
         name = validate_model_name(name or self.default_model)
-        if not self.service_kwargs:
-            # Inherit the seed service's fan-out knobs for later loads
-            # (guarded: fault-injection wrappers may not expose them).
-            self.service_kwargs = {
-                "n_jobs": getattr(service, "n_jobs", None),
-                "backend": getattr(service, "backend", "thread"),
-            }
         entry = self._entry_for_service(name, service, source="init")
         self._entries[name] = entry
         return entry

@@ -111,9 +111,14 @@ class VlsiFlow:
         self.perf = perf if perf is not None else PerfSimulator()
         self.activity_sim = activity if activity is not None else ActivitySimulator()
         self.analyzer = PowerAnalyzer(self.library, self.mapper)
-        self.disk_cache = (
-            default_flow_cache() if disk_cache == "auto" else disk_cache
-        )
+        if isinstance(disk_cache, str) and disk_cache == "auto":
+            disk_cache = default_flow_cache()
+        elif disk_cache is not None and not isinstance(disk_cache, FlowDiskCache):
+            raise TypeError(
+                "disk_cache must be 'auto', None or a FlowDiskCache, "
+                f"got {disk_cache!r}"
+            )
+        self.disk_cache = disk_cache
         # Real pipeline computations this flow performed; neither the
         # in-process caches nor disk hits increment it.
         self.executions = 0

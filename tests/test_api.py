@@ -294,16 +294,6 @@ class TestPredictionService:
         ]
         np.testing.assert_allclose(batched, loop, rtol=1e-12, atol=0)
 
-    def test_max_batch_size_chunks_without_changing_results(
-        self, autopower2, requests
-    ):
-        unbounded = api.PredictionService(autopower2)
-        bounded = api.PredictionService(autopower2, max_batch_size=3)
-        assert [r.total for r in bounded.submit_many(requests)] == [
-            r.total for r in unbounded.submit_many(requests)
-        ]
-        assert bounded.stats.model_calls > unbounded.stats.model_calls
-
     def test_works_for_every_method(self, fitted, requests):
         for name, model in fitted.items():
             service = api.PredictionService(model)
@@ -452,13 +442,6 @@ class TestPredictionService:
         assert snapshot["responses"] == 5 * len(requests)
         assert snapshot["batched_intervals"] == 5 * len(requests)
 
-    def test_parallel_fanout_matches_serial(self, autopower2, requests):
-        serial = api.PredictionService(autopower2)
-        threaded = api.PredictionService(autopower2, n_jobs=2, backend="thread")
-        assert [r.total for r in threaded.submit_many(requests)] == [
-            r.total for r in serial.submit_many(requests)
-        ]
-
     def test_mixing_workload_presence_rejected(self, autopower2, requests):
         service = api.PredictionService(autopower2)
         bad = api.PredictRequest(requests[0].config, requests[0].events, None)
@@ -488,21 +471,6 @@ class TestPredictionService:
             "requests": 0, "responses": 0, "model_calls": 0,
             "batched_intervals": 0,
         }
-
-    def test_max_batch_size_split_that_separates_a_mix_stays_accepted(
-        self, fitted, requests
-    ):
-        # The mix check follows the exact chunks execution will use: when
-        # max_batch_size happens to split the workload-carrying and
-        # workload-free rows into different chunks, the submission is
-        # servable and must stay accepted (semantics unchanged by moving
-        # the check into _validate).
-        service = api.PredictionService(fitted["mcpat"], max_batch_size=1)
-        request = requests[0]
-        bare = api.PredictRequest(request.config, request.events, None)
-        responses = service.submit_many([request, bare])
-        assert responses[0].total == service.predict(request).total
-        assert responses[1].workload_name is None
 
 
 class TestRunnerRegistryIntegration:

@@ -35,6 +35,15 @@ class TestEventParams:
         with pytest.raises(ValueError, match="negative"):
             EventParams(counts)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_count_rejected(self, bad):
+        # NaN slips past a plain ``< 0`` check (and used to score as a
+        # power number); +inf saturated the trees silently.
+        counts = _full_counts()
+        counts["dcache_misses"] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EventParams(counts)
+
     def test_zero_cycles_rejected(self):
         counts = _full_counts(cycles=0.0)
         with pytest.raises(ValueError, match="cycles"):

@@ -378,6 +378,13 @@ class TestEventBatch:
         with pytest.raises(ValueError):
             EventBatch(np.zeros((1, len(EVENT_NAMES))))  # cycles must be > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_rejected(self, bad):
+        matrix = np.ones((3, len(EVENT_NAMES)))
+        matrix[1, EVENT_NAMES.index("dcache_misses")] = bad
+        with pytest.raises(ValueError, match="finite"):
+            EventBatch(matrix)
+
     def test_events_at_scale_rejects_bad_scales(self, flow, c8, dhrystone):
         events = flow.run(c8, dhrystone).events
         with pytest.raises(ValueError):

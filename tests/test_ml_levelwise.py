@@ -252,9 +252,9 @@ class TestKernelParity:
 
     def test_kernel_ensemble_matches_lazy_assembly(self):
         a, _, X = self._pair(n_estimators=40, max_depth=3)
-        from repro.ml.gbm import _FlatEnsemble
+        from repro.ml.forest import Forest
 
-        lazy = _FlatEnsemble(a.trees_)
+        lazy = Forest.from_ensembles([(a.trees_, 0)])
         fast = a._flat_ensemble()
         assert np.array_equal(lazy.feature, fast.feature)
         assert np.array_equal(lazy.threshold, fast.threshold)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import repro.api as api
+from repro.arch.events import EventParams
 from repro.serving import GatewayThread, MicroBatcher, WireError
 from repro.serving import wire
 
@@ -127,6 +128,25 @@ class TestWire:
         with pytest.raises(WireError, match=match) as excinfo:
             wire.decode_request(obj)
         assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_event_count_is_400(self, total_requests, bad):
+        obj = wire.encode_request(total_requests[0])
+        obj["events"] = dict(obj["events"], dcache_misses=bad)
+        with pytest.raises(WireError, match="finite") as excinfo:
+            wire.decode_request(obj)
+        assert excinfo.value.status == 400
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_event_count_rejected_by_request(self, total_requests, bad):
+        request = total_requests[0]
+        counts = dict(request.events.counts, dcache_misses=bad)
+        with pytest.raises(ValueError, match="finite"):
+            api.PredictRequest(
+                config=request.config,
+                events=EventParams(counts),
+                workload=request.workload,
+            )
 
     def test_non_object_request_is_400(self):
         with pytest.raises(WireError, match="object") as excinfo:
@@ -510,6 +530,19 @@ class TestGateway:
         assert status == 400
         assert body["error"]["status"] == 400
         assert "JSON" in body["error"]["message"]
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_literal_is_400(
+        self, ap_gateway, total_requests, literal
+    ):
+        # Python's JSON parser accepts these literals, so a client can
+        # send one; the count must be rejected, not scored.
+        obj = wire.encode_request(total_requests[0])
+        obj["events"] = dict(obj["events"], dcache_misses="BAD")
+        raw = json.dumps(obj).replace('"BAD"', literal)
+        status, body = _http(ap_gateway.port, "POST", "/predict", raw_body=raw)
+        assert status == 400
+        assert "finite" in body["error"]["message"]
 
     def test_bad_request_is_400_with_structured_error(
         self, ap_gateway, total_requests

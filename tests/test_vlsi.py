@@ -52,6 +52,20 @@ class TestMacroMapper:
 
 
 class TestVlsiFlow:
+    @pytest.mark.parametrize("bad", ["off", "", 0, True, "/tmp/flow-cache"])
+    def test_invalid_disk_cache_rejected_at_construction(self, bad):
+        # Used to be accepted and to fail later with AttributeError.
+        with pytest.raises(TypeError, match="disk_cache"):
+            VlsiFlow(disk_cache=bad)
+
+    def test_disk_cache_choices_accepted(self, tmp_path):
+        from repro.dse.cache import FlowDiskCache
+
+        assert VlsiFlow(disk_cache=None).disk_cache is None
+        store = FlowDiskCache(str(tmp_path))
+        assert VlsiFlow(disk_cache=store).disk_cache is store
+        VlsiFlow(disk_cache="auto")
+
     def test_run_caches(self, flow):
         c1 = config_by_name("C1")
         w = workload_by_name("towers")
