@@ -505,17 +505,6 @@ def _cmd_serve(argv: list[str]) -> int:
         help="flush as soon as this many requests are waiting (default: 64)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "default parallel workers for POST /dse sweeps that set no "
-            "'jobs' of their own (0 or negative = all cores; overrides "
-            "REPRO_JOBS)"
-        ),
-    )
-    parser.add_argument(
         "--queue-depth",
         type=int,
         default=1024,
@@ -660,99 +649,91 @@ def _cmd_serve(argv: list[str]) -> int:
         drain_timeout_s=args.drain_timeout,
     )
 
-    # --jobs is the server's default fan-out for DSE sweeps (and the
-    # model fits they run) that carry no "jobs" of their own.
-    previous_jobs = get_default_jobs()
-    if args.jobs is not None:
-        set_default_jobs(args.jobs)
-    try:
-        if args.workers > 1:
-            # Process-per-core: models are loaded (validated) once here; the
-            # forked children each build their own fleet over their own copy.
-            from repro.serving.fleet import run_worker_pool
+    if args.workers > 1:
+        # Process-per-core: models are loaded (validated) once here; the
+        # forked children each build their own fleet over their own copy.
+        from repro.serving.fleet import run_worker_pool
 
-            print(f"serving {label} with {args.workers} workers ...", flush=True)
+        print(f"serving {label} with {args.workers} workers ...", flush=True)
 
-            def worker_main(announce_fd: int, bound_port: int) -> int:
-                return _serve_worker(
-                    announce_fd,
-                    bound_port,
-                    args,
-                    default_name,
-                    models,
-                    resilience,
-                    auth,
-                )
-
-            try:
-                return run_worker_pool(
-                    args.host,
-                    args.port,
-                    args.workers,
-                    worker_main,
-                    supervise=not args.no_supervise,
-                    max_restarts=args.max_restarts,
-                    restart_backoff_ms=args.restart_backoff_ms,
-                    startup_timeout_s=args.startup_timeout,
-                )
-            except OSError as exc:  # e.g. the port is already bound
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-
-        gateway = Gateway(
-            _build_fleet(args, default_name, models, resilience),
-            host=args.host,
-            port=args.port,
-            resilience=resilience,
-            auth=auth,
-            rate_limiter=RateLimiter(args.rate_limit, args.rate_burst),
-        )
-
-        async def run() -> None:
-            import signal
-
-            await gateway.start()
-            print(format_announce(args.host, gateway.port, workers=1), flush=True)
-            print(f"serving {label} on http://{args.host}:{gateway.port}", flush=True)
-            print(
-                "endpoints: POST /predict, POST /models/<name>/predict, "
-                "PUT/DELETE/GET /models/<name>, GET /models, GET /healthz, "
-                "GET /stats (SIGTERM/Ctrl-C drains and exits)",
-                flush=True,
+        def worker_main(announce_fd: int, bound_port: int) -> int:
+            return _serve_worker(
+                announce_fd,
+                bound_port,
+                args,
+                default_name,
+                models,
+                resilience,
+                auth,
             )
-            loop = asyncio.get_running_loop()
-            shutdown = asyncio.Event()
-            handled_signals = []
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, shutdown.set)
-                except (NotImplementedError, RuntimeError):
-                    continue  # platform without loop signal handlers
-                handled_signals.append(signum)
-            try:
-                if handled_signals:
-                    await shutdown.wait()
-                else:
-                    await gateway.serve_forever()
-            finally:
-                for signum in handled_signals:
-                    loop.remove_signal_handler(signum)
-                print(
-                    f"draining (up to {args.drain_timeout:g}s) ...", flush=True
-                )
-                await gateway.stop(drain=True, drain_timeout=args.drain_timeout)
-                print("drained; exiting", flush=True)
 
         try:
-            asyncio.run(run())
-        except KeyboardInterrupt:
-            pass
+            return run_worker_pool(
+                args.host,
+                args.port,
+                args.workers,
+                worker_main,
+                supervise=not args.no_supervise,
+                max_restarts=args.max_restarts,
+                restart_backoff_ms=args.restart_backoff_ms,
+                startup_timeout_s=args.startup_timeout,
+            )
         except OSError as exc:  # e.g. the port is already bound
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return 0
-    finally:
-        set_default_jobs(previous_jobs)
+
+    gateway = Gateway(
+        _build_fleet(args, default_name, models, resilience),
+        host=args.host,
+        port=args.port,
+        resilience=resilience,
+        auth=auth,
+        rate_limiter=RateLimiter(args.rate_limit, args.rate_burst),
+    )
+
+    async def run() -> None:
+        import signal
+
+        await gateway.start()
+        print(format_announce(args.host, gateway.port, workers=1), flush=True)
+        print(f"serving {label} on http://{args.host}:{gateway.port}", flush=True)
+        print(
+            "endpoints: POST /predict, POST /models/<name>/predict, "
+            "PUT/DELETE/GET /models/<name>, GET /models, GET /healthz, "
+            "GET /stats (SIGTERM/Ctrl-C drains and exits)",
+            flush=True,
+        )
+        loop = asyncio.get_running_loop()
+        shutdown = asyncio.Event()
+        handled_signals = []
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, shutdown.set)
+            except (NotImplementedError, RuntimeError):
+                continue  # platform without loop signal handlers
+            handled_signals.append(signum)
+        try:
+            if handled_signals:
+                await shutdown.wait()
+            else:
+                await gateway.serve_forever()
+        finally:
+            for signum in handled_signals:
+                loop.remove_signal_handler(signum)
+            print(
+                f"draining (up to {args.drain_timeout:g}s) ...", flush=True
+            )
+            await gateway.stop(drain=True, drain_timeout=args.drain_timeout)
+            print("drained; exiting", flush=True)
+
+    try:
+        asyncio.run(run())
+    except KeyboardInterrupt:
+        pass
+    except OSError as exc:  # e.g. the port is already bound
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_cache(argv: list[str]) -> int:

@@ -28,7 +28,7 @@ from repro.arch.config import BoomConfig
 from repro.arch.events import EventBatch, EventParams
 from repro.core.features import (
     event_features,
-    event_features_batch,
+    feature_block_batch,
     hardware_features,
     polynomial_hardware_features,
 )
@@ -249,18 +249,12 @@ class ClockPowerModel:
         sees the event matrix, in a single batched pass.
         """
         self._require_fit()
-        n = len(events)
         out: dict[str, np.ndarray] = {}
         for comp in COMPONENTS:
             name = comp.name
             h = polynomial_hardware_features(config, name).reshape(1, -1)
             r, g = self.hardware_terms(name, h)
-            x = np.hstack(
-                [
-                    np.tile(hardware_features(config, name), (n, 1)),
-                    event_features_batch(events, name, config, include_raw=False),
-                ]
-            )
+            x = feature_block_batch(config, events, name, include_raw=False)
             out[name] = self.power(r, g, self._models[name].f_alpha.predict(x))
         return out
 

@@ -13,6 +13,9 @@ Three feature families, matching the paper's inputs:
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.arch.components import component_by_name
@@ -21,9 +24,13 @@ from repro.arch.events import COMPONENT_EVENTS, EventBatch, EventParams
 from repro.arch.workloads import Workload
 
 __all__ = [
+    "FeatureBlock",
+    "event_columns",
     "event_feature_names",
     "event_features",
     "event_features_batch",
+    "feature_block",
+    "feature_block_batch",
     "hardware_feature_names",
     "hardware_features",
     "program_feature_names",
@@ -82,6 +89,51 @@ def polynomial_hardware_features(config: BoomConfig, component: str) -> np.ndarr
     return np.concatenate([base, products])
 
 
+@functools.cache
+def event_columns(
+    component: str, include_raw: bool = True, normalized: bool = True
+) -> tuple[tuple[str, str | None], ...]:
+    """Sources of one component's E features, in column order.
+
+    Each column is ``(event, divisor)``: the event's per-cycle rate,
+    divided by ``max(divisor parameter, 1)`` unless ``divisor`` is
+    ``None``.  Raw rates come first, then every rate normalized by each
+    of the component's hardware parameters, then global IPC (the
+    per-cycle rate of ``instructions``).
+    """
+    event_names = COMPONENT_EVENTS[component]
+    params = hardware_feature_names(component)
+    columns: list[tuple[str, str | None]] = []
+    if include_raw:
+        columns.extend((n, None) for n in event_names)
+    if normalized:
+        columns.extend((n, p) for n in event_names for p in params)
+    columns.append(("instructions", None))  # IPC
+    return tuple(columns)
+
+
+class FeatureBlock(NamedTuple):
+    """Column sources of one component's GBM feature rows, in order:
+    ``hardware`` parameter values, then the ``rates`` of
+    :func:`event_columns`, then the ``program`` features."""
+
+    hardware: tuple[str, ...]
+    rates: tuple[tuple[str, str | None], ...]
+    program: tuple[str, ...]
+
+
+@functools.cache
+def feature_block(
+    component: str, include_raw: bool = True, program: bool = False
+) -> FeatureBlock:
+    """The :class:`FeatureBlock` of :func:`feature_block_batch`."""
+    return FeatureBlock(
+        hardware_feature_names(component),
+        event_columns(component, include_raw),
+        _PROGRAM_FEATURE_NAMES if program else (),
+    )
+
+
 def event_feature_names(
     component: str, include_raw: bool = True, normalized: bool = True
 ) -> tuple[str, ...]:
@@ -92,15 +144,11 @@ def event_feature_names(
     per hardware lane/entry, which generalize across machine widths), and
     global IPC.
     """
-    event_names = COMPONENT_EVENTS[component]
-    params = hardware_feature_names(component)
-    names: list[str] = []
-    if include_raw:
-        names.extend(f"rate_{n}" for n in event_names)
-    if normalized:
-        for n in event_names:
-            for p in params:
-                names.append(f"rate_{n}/{p}")
+    columns = event_columns(component, include_raw, normalized)
+    names = [
+        f"rate_{event}" if divisor is None else f"rate_{event}/{divisor}"
+        for event, divisor in columns[:-1]
+    ]
     names.append("ipc")
     return tuple(names)
 
@@ -118,19 +166,13 @@ def event_features(
     only the scale-free normalized rates — the right diet for sub-models
     whose targets are rates rather than absolute power.
     """
-    rates = events.rates_for_component(component)
-    event_names = COMPONENT_EVENTS[component]
     if config is None and not include_raw:
         raise ValueError("normalized-only features require a config")
+    columns = event_columns(component, include_raw or config is None, config is not None)
     values: list[float] = []
-    if include_raw or config is None:
-        values.extend(rates[n] for n in event_names)
-    if config is not None:
-        params = hardware_feature_names(component)
-        for n in event_names:
-            for p in params:
-                values.append(rates[n] / max(float(config[p]), 1.0))
-    values.append(events.ipc)
+    for event, divisor in columns:
+        rate = events.rate(event)
+        values.append(rate if divisor is None else rate / max(float(config[divisor]), 1.0))
     return np.array(values, dtype=float)
 
 
@@ -146,20 +188,40 @@ def event_features_batch(
     extractor exactly, so batch predictions reproduce per-interval
     predictions bit for bit.
     """
-    rates = events.rates_for_component(component)
-    event_names = COMPONENT_EVENTS[component]
     if config is None and not include_raw:
         raise ValueError("normalized-only features require a config")
-    columns: list[np.ndarray] = []
-    if include_raw or config is None:
-        columns.extend(rates[n] for n in event_names)
-    if config is not None:
-        params = hardware_feature_names(component)
-        for n in event_names:
-            for p in params:
-                columns.append(rates[n] / max(float(config[p]), 1.0))
-    columns.append(events.ipc)
-    return np.column_stack(columns)
+    columns = event_columns(component, include_raw or config is None, config is not None)
+    cycles = events.cycles
+    rates: dict[str, np.ndarray] = {}
+    out: list[np.ndarray] = []
+    for event, divisor in columns:
+        if event not in rates:
+            rates[event] = events.column(event) / cycles
+        rate = rates[event]
+        out.append(rate if divisor is None else rate / max(float(config[divisor]), 1.0))
+    return np.column_stack(out)
+
+
+def feature_block_batch(
+    config: BoomConfig,
+    events: EventBatch,
+    component: str,
+    include_raw: bool = True,
+    workload=None,
+) -> np.ndarray:
+    """One component's GBM feature rows, laid out as :func:`feature_block`.
+
+    The hardware parameters repeat on every row; program features are
+    appended when a ``workload`` (one, or one per row) is given.
+    """
+    block = feature_block(component, include_raw, workload is not None)
+    parts = [
+        np.tile(config.vector(block.hardware), (len(events), 1)),
+        event_features_batch(events, component, config, include_raw),
+    ]
+    if block.program:
+        parts.append(program_features_matrix(workload, len(events)))
+    return np.hstack(parts)
 
 
 def program_feature_names() -> tuple[str, ...]:

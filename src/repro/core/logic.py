@@ -21,7 +21,7 @@ from repro.arch.config import BoomConfig
 from repro.arch.events import EventBatch, EventParams
 from repro.core.features import (
     event_features,
-    event_features_batch,
+    feature_block_batch,
     hardware_features,
     polynomial_hardware_features,
 )
@@ -47,17 +47,6 @@ def _he_features(config: BoomConfig, events: EventParams, component: str) -> np.
         [
             hardware_features(config, component),
             event_features(events, component, config, include_raw=False),
-        ]
-    )
-
-
-def _he_features_batch(
-    config: BoomConfig, events: EventBatch, component: str
-) -> np.ndarray:
-    return np.hstack(
-        [
-            np.tile(hardware_features(config, component), (len(events), 1)),
-            event_features_batch(events, component, config, include_raw=False),
         ]
     )
 
@@ -166,7 +155,7 @@ class RegisterPowerModel:
         for comp in COMPONENTS:
             name = comp.name
             h = polynomial_hardware_features(config, name).reshape(1, -1)
-            x = _he_features_batch(config, events, name)
+            x = feature_block_batch(config, events, name, include_raw=False)
             out[name] = self.hardware_term(name, h) * np.maximum(
                 self._f_act[name].predict(x), 0.0
             )
@@ -268,7 +257,7 @@ class CombPowerModel:
         for comp in COMPONENTS:
             name = comp.name
             h = polynomial_hardware_features(config, name).reshape(1, -1)
-            x = _he_features_batch(config, events, name)
+            x = feature_block_batch(config, events, name, include_raw=False)
             out[name] = self.hardware_term(name, h) * np.maximum(
                 self._f_var[name].predict(x), 0.0
             )

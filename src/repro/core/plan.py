@@ -31,9 +31,9 @@ import numpy as np
 
 from repro.arch.components import COMPONENTS
 from repro.arch.config import HARDWARE_PARAMETERS, BoomConfig
-from repro.arch.events import COMPONENT_EVENTS, EVENT_NAMES, EventBatch
+from repro.arch.events import EVENT_NAMES, EventBatch
 from repro.core.features import (
-    hardware_feature_names,
+    feature_block,
     polynomial_hardware_features,
     program_feature_names,
     program_features_matrix,
@@ -47,15 +47,16 @@ __all__ = ["InferencePlan"]
 
 _PARAM_INDEX = {name: i for i, name in enumerate(HARDWARE_PARAMETERS)}
 _EVENT_INDEX = {name: i for i, name in enumerate(EVENT_NAMES)}
+_PROGRAM_INDEX = {name: i for i, name in enumerate(program_feature_names())}
 
 
 class _WideLayout:
-    """Column sources of the wide feature matrix, one block at a time.
+    """Gather tables of the wide feature matrix, one block at a time.
 
-    A block reproduces one component's feature vector column for column
-    (:func:`~repro.core.features.hardware_features`, then
-    :func:`~repro.core.features.event_features_batch` with a config,
-    then optionally the program features).
+    A block reproduces one component's
+    :func:`~repro.core.features.feature_block_batch` rows column for
+    column, from the :func:`~repro.core.features.feature_block` that
+    describes them.
     """
 
     def __init__(self) -> None:
@@ -66,23 +67,18 @@ class _WideLayout:
 
     def block(self, component: str, include_raw: bool, program: bool) -> int:
         """Append one component's block; returns its first column."""
-        start = self.width
-        params = [_PARAM_INDEX[p] for p in hardware_feature_names(component)]
-        events = [_EVENT_INDEX[e] for e in COMPONENT_EVENTS[component]]
-        col = start
-        for p in params:
-            self.hw.append((col, p))
+        spec = feature_block(component, include_raw, program)
+        start = col = self.width
+        for param in spec.hardware:
+            self.hw.append((col, _PARAM_INDEX[param]))
             col += 1
-        rates = [(e, -1) for e in events] if include_raw else []
-        rates += [(e, p) for e in events for p in params]
-        rates.append((_EVENT_INDEX["instructions"], -1))  # IPC
-        for e, p in rates:
-            self.rate.append((col, e, p))
+        for event, divisor in spec.rates:
+            div = -1 if divisor is None else _PARAM_INDEX[divisor]
+            self.rate.append((col, _EVENT_INDEX[event], div))
             col += 1
-        if program:
-            for k in range(len(program_feature_names())):
-                self.program.append((col, k))
-                col += 1
+        for name in spec.program:
+            self.program.append((col, _PROGRAM_INDEX[name]))
+            col += 1
         self.width = col
         return start
 

@@ -31,10 +31,9 @@ from repro.arch.events import EventBatch, EventParams
 from repro.arch.workloads import Workload
 from repro.core.features import (
     event_features,
-    event_features_batch,
+    feature_block_batch,
     hardware_features,
     program_features,
-    program_features_matrix,
 )
 from repro.core.scaling import FittedLaw, ScalingPatternDetector
 from repro.library.stdcell import TechLibrary
@@ -372,13 +371,12 @@ class SramPowerModel:
     def _activity_features_batch(
         self, config: BoomConfig, events: EventBatch, workload, component: str
     ) -> np.ndarray:
-        parts = [
-            np.tile(hardware_features(config, component), (len(events), 1)),
-            event_features_batch(events, component, config),
-        ]
-        if self.use_program_features:
-            parts.append(program_features_matrix(workload, len(events)))
-        return np.hstack(parts)
+        return feature_block_batch(
+            config,
+            events,
+            component,
+            workload=workload if self.use_program_features else None,
+        )
 
     def predict_position_batch(
         self,

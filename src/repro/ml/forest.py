@@ -58,14 +58,6 @@ class Forest:
         self.tree_offsets = tree_offsets
         self.depth = depth
 
-    @property
-    def left(self) -> np.ndarray:
-        return self.children[1::2]
-
-    @property
-    def right(self) -> np.ndarray:
-        return self.children[0::2]
-
     @classmethod
     def from_ensembles(cls, ensembles: Sequence[tuple[Sequence[tuple], int]]) -> Forest:
         """A forest from fitted ensembles of ``(RegressionTree, columns)``.

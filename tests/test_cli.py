@@ -244,6 +244,15 @@ class TestModelCommands:
         ) == 2
         assert "--default-model" in capsys.readouterr().err
 
+    def test_serve_has_no_jobs_option(self, tmp_path, capsys):
+        # Predictions run one fused model pass per configuration, so
+        # serve takes no worker count; DSE sweeps set their own "jobs".
+        absent = str(tmp_path / "absent.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--model", absent, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_listing_includes_serve_command(self, capsys):
         assert main([]) == 0
         assert "serve --model" in capsys.readouterr().out

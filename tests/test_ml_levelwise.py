@@ -258,8 +258,7 @@ class TestKernelParity:
         fast = a._flat_ensemble()
         assert np.array_equal(lazy.feature, fast.feature)
         assert np.array_equal(lazy.threshold, fast.threshold)
-        assert np.array_equal(lazy.left, fast.left)
-        assert np.array_equal(lazy.right, fast.right)
+        assert np.array_equal(lazy.children, fast.children)
         assert np.array_equal(lazy.value, fast.value)
         assert np.array_equal(lazy.roots, fast.roots)
 
