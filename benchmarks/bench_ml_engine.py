@@ -9,7 +9,7 @@ benchmarks.  All cases carry the ``perf_smoke`` marker:
 Two regimes are covered: the few-shot regime AutoPower actually fits in
 (a dozen samples, ~150 boosting rounds — dominated by numpy dispatch, the
 reason for the per-fit sort/size caches), and a larger regime where the
-histogram mode and the fused-ensemble batch inference matter.
+exact split search and the fused-ensemble batch inference matter.
 """
 
 from __future__ import annotations
@@ -59,40 +59,8 @@ def test_fewshot_fit_exact(benchmark):
 
 
 @pytest.mark.perf_smoke
-def test_bulk_fit_hist(benchmark):
-    """Histogram mode on a larger matrix (shared per-fit bin cache)."""
-    X, y = _bulk_data()
-
-    def fit():
-        return GradientBoostingRegressor(
-            n_estimators=40, learning_rate=0.1, max_depth=4,
-            tree_method="hist", max_bin=64,
-        ).fit(X, y)
-
-    model = benchmark(fit)
-    resid = model.predict(X) - y
-    assert float(np.sqrt(np.mean(resid**2))) < 2.0
-
-
-@pytest.mark.perf_smoke
-def test_bulk_fit_hist32(benchmark):
-    """Histogram mode with the float32 score pipeline (hist_dtype)."""
-    X, y = _bulk_data()
-
-    def fit():
-        return GradientBoostingRegressor(
-            n_estimators=40, learning_rate=0.1, max_depth=4,
-            tree_method="hist", max_bin=64, hist_dtype="float32",
-        ).fit(X, y)
-
-    model = benchmark(fit)
-    resid = model.predict(X) - y
-    assert float(np.sqrt(np.mean(resid**2))) < 2.0
-
-
-@pytest.mark.perf_smoke
 def test_bulk_fit_exact(benchmark):
-    """Exact mode on the same matrix, for the hist/exact tradeoff curve."""
+    """Exact split search on a 2000 x 16 matrix."""
     X, y = _bulk_data()
 
     def fit():

@@ -27,13 +27,14 @@ from repro.arch.components import COMPONENTS
 from repro.arch.config import BoomConfig
 from repro.arch.events import EventBatch, EventParams
 from repro.core.features import (
-    event_features,
+    ConfigRows,
     feature_block_batch,
-    hardware_features,
+    feature_rows,
     polynomial_hardware_features,
+    rows_by_config,
 )
 from repro.library.stdcell import TechLibrary
-from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.gbm import GradientBoostingRegressor, fit_many
 from repro.ml.linear import RidgeRegression
 from repro.parallel import Executor, SerialExecutor
 
@@ -58,20 +59,27 @@ class _ComponentClockModel:
         )
 
 
-def _fit_clock_component(payload: dict) -> _ComponentClockModel:
-    """Fit one component's three clock sub-models from a pure payload.
+def _fit_clock_components(payloads: list[dict]) -> list[_ComponentClockModel]:
+    """Fit the three clock sub-models of each component payload.
 
     A module-level function of plain arrays and hyper-parameters — the
-    picklable task the executor fans out; the payload carries its own
+    picklable task the executor fans out, one contiguous chunk of
+    components per worker; all of a chunk's GBMs fit in one
+    :func:`~repro.ml.gbm.fit_many` call.  Payloads carry their own
     ``random_state``, so the result is backend-independent.
     """
-    model = _ComponentClockModel(
-        payload["ridge_alpha"], payload["gbm_params"], payload["random_state"]
+    models = []
+    for payload in payloads:
+        model = _ComponentClockModel(
+            payload["ridge_alpha"], payload["gbm_params"], payload["random_state"]
+        )
+        model.f_reg.fit(payload["h"], payload["r_labels"])
+        model.f_gate.fit(payload["h"], payload["g_labels"])
+        models.append(model)
+    fit_many(
+        [(m.f_alpha, p["x"], p["a_labels"]) for m, p in zip(models, payloads)]
     )
-    model.f_reg.fit(payload["h"], payload["r_labels"])
-    model.f_gate.fit(payload["h"], payload["g_labels"])
-    model.f_alpha.fit(payload["x"], payload["a_labels"])
-    return model
+    return models
 
 
 class ClockPowerModel:
@@ -115,27 +123,27 @@ class ClockPowerModel:
         fits are independent and run through ``executor`` (serial by
         default) with numerically identical results on every backend.
         """
+        if not results:
+            raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = SerialExecutor()
+        groups = rows_by_config(results)
         payloads = [
-            self._component_payload(component.name, results)
+            self._component_payload(component.name, results, groups)
             for component in COMPONENTS
         ]
-        models = executor.map(_fit_clock_component, payloads)
+        models = executor.map_chunks(_fit_clock_components, payloads)
         self._models = {
             component.name: model for component, model in zip(COMPONENTS, models)
         }
         self._fitted = True
         return self
 
-    def _component_payload(self, name: str, results: list) -> dict:
+    def _component_payload(
+        self, name: str, results: list, groups: list[ConfigRows]
+    ) -> dict:
         """Feature matrices and labels of one component's fit task."""
-        if not results:
-            raise ValueError("cannot fit on an empty result list")
-        by_config: dict[str, object] = {}
-        for res in results:
-            by_config.setdefault(res.config.name, res)
-        config_results = list(by_config.values())
+        config_results = [results[g.indices[0]] for g in groups]
         p_reg = self.library.p_reg_mw
 
         # Per-config labels from the netlist.
@@ -149,9 +157,9 @@ class ClockPowerModel:
             g_labels.append(comp_net.gating_rate)
 
         # Per-sample effective-active-rate labels (Eq. 7 inverted).
-        x_rows = []
+        keep = []
         a_labels = []
-        for res in results:
+        for i, res in enumerate(results):
             comp_net = res.netlist.component(name)
             r = comp_net.registers
             g = comp_net.gating_rate
@@ -159,9 +167,9 @@ class ClockPowerModel:
             if r <= 0 or g <= 0:
                 continue
             alpha_eff = (p_clk - r * (1.0 - g) * p_reg) / (r * g)
-            x_rows.append(self._alpha_features(res.config, res.events, name))
+            keep.append(i)
             a_labels.append(max(alpha_eff, 0.0))
-        if not x_rows:
+        if not keep:
             raise RuntimeError(f"no effective-active-rate samples for {name}")
         return {
             "ridge_alpha": self.ridge_alpha,
@@ -170,22 +178,11 @@ class ClockPowerModel:
             "h": np.stack(h_rows),
             "r_labels": np.array(r_labels),
             "g_labels": np.array(g_labels),
-            "x": np.stack(x_rows),
+            "x": feature_rows(groups, name, include_raw=False)[keep],
             "a_labels": np.array(a_labels),
         }
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _alpha_features(
-        config: BoomConfig, events: EventParams, component: str
-    ) -> np.ndarray:
-        return np.concatenate(
-            [
-                hardware_features(config, component),
-                event_features(events, component, config, include_raw=False),
-            ]
-        )
-
     def _require_fit(self) -> None:
         if not self._fitted:
             raise RuntimeError("ClockPowerModel used before fit")
@@ -217,7 +214,9 @@ class ClockPowerModel:
     ) -> float:
         """Predicted effective active rate alpha' (non-negative)."""
         self._require_fit()
-        x = self._alpha_features(config, events, component).reshape(1, -1)
+        x = feature_block_batch(
+            config, EventBatch.from_events(events), component, include_raw=False
+        )
         return max(float(self._models[component].f_alpha.predict(x)[0]), 0.0)
 
     # -- power prediction --------------------------------------------------

@@ -24,6 +24,7 @@ from repro.arch.events import COMPONENT_EVENTS, EventBatch, EventParams
 from repro.arch.workloads import Workload
 
 __all__ = [
+    "ConfigRows",
     "FeatureBlock",
     "event_columns",
     "event_feature_names",
@@ -31,11 +32,13 @@ __all__ = [
     "event_features_batch",
     "feature_block",
     "feature_block_batch",
+    "feature_rows",
     "hardware_feature_names",
     "hardware_features",
     "program_feature_names",
     "program_features",
     "program_features_matrix",
+    "rows_by_config",
 ]
 
 _PROGRAM_FEATURE_NAMES: tuple[str, ...] = (
@@ -222,6 +225,61 @@ def feature_block_batch(
     if block.program:
         parts.append(program_features_matrix(workload, len(events)))
     return np.hstack(parts)
+
+
+class ConfigRows(NamedTuple):
+    """The flow results of one configuration, as :func:`feature_block_batch`
+    input: their positions in the result list, the configuration, their
+    events as one batch, and their workloads."""
+
+    indices: list[int]
+    config: BoomConfig
+    events: EventBatch
+    workloads: list
+
+
+def rows_by_config(results: list) -> list[ConfigRows]:
+    """Flow results grouped by configuration, in order of first appearance."""
+    by_config: dict[str, list[int]] = {}
+    for i, res in enumerate(results):
+        by_config.setdefault(res.config.name, []).append(i)
+    return [
+        ConfigRows(
+            indices,
+            results[indices[0]].config,
+            EventBatch.from_events([results[i].events for i in indices]),
+            [results[i].workload for i in indices],
+        )
+        for indices in by_config.values()
+    ]
+
+
+def feature_rows(
+    groups: list[ConfigRows],
+    component: str,
+    include_raw: bool = True,
+    program: bool = False,
+) -> np.ndarray:
+    """:func:`feature_block_batch` rows of grouped flow results.
+
+    One call per configuration (the builder inference uses, so fit and
+    predict see identical features); rows come back in the order of the
+    result list the groups came from.
+    """
+    blocks = [
+        feature_block_batch(
+            g.config,
+            g.events,
+            component,
+            include_raw,
+            workload=g.workloads if program else None,
+        )
+        for g in groups
+    ]
+    out = np.empty((sum(len(g.indices) for g in groups), blocks[0].shape[1]))
+    for g, block in zip(groups, blocks):
+        out[g.indices] = block
+    return out
 
 
 def program_feature_names() -> tuple[str, ...]:

@@ -20,12 +20,13 @@ from repro.arch.components import COMPONENTS
 from repro.arch.config import BoomConfig
 from repro.arch.events import EventBatch, EventParams
 from repro.core.features import (
-    event_features,
+    ConfigRows,
     feature_block_batch,
-    hardware_features,
+    feature_rows,
     polynomial_hardware_features,
+    rows_by_config,
 )
-from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.gbm import GradientBoostingRegressor, fit_many
 from repro.ml.linear import RidgeRegression
 from repro.parallel import Executor, SerialExecutor
 
@@ -39,35 +40,41 @@ _DEFAULT_GBM = {
 }
 
 
-def _he_features(config: BoomConfig, events: EventParams, component: str) -> np.ndarray:
-    # Scale-free event features: the GBM targets here (per-register power,
-    # power variation ratio) are rates, so raw machine-scaled rates are
-    # dropped in favour of per-parameter-normalized ones.
-    return np.concatenate(
-        [
-            hardware_features(config, component),
-            event_features(events, component, config, include_raw=False),
-        ]
+# The register and comb GBMs read scale-free event features
+# (``include_raw=False``): their targets (per-register power, power
+# variation ratio) are rates, so raw machine-scaled rates are dropped in
+# favour of per-parameter-normalized ones.
+def _he_row(config: BoomConfig, events: EventParams, component: str) -> np.ndarray:
+    """One register/comb GBM feature row."""
+    return feature_block_batch(
+        config, EventBatch.from_events(events), component, include_raw=False
     )
 
 
-def _fit_ridge_gbm_pair(
-    payload: dict,
-) -> tuple[RidgeRegression, GradientBoostingRegressor]:
-    """Fit one component's (ridge hardware model, activity GBM) pair.
+def _fit_ridge_gbm_pairs(
+    payloads: list[dict],
+) -> list[tuple[RidgeRegression, GradientBoostingRegressor]]:
+    """Fit each component's (ridge hardware model, activity GBM) pair.
 
     Shared by the register and combinational fits — both decompose into a
     hardware-only ridge and an activity GBM per component.  Module-level
-    and array-only, so the executor can run it in worker processes; the
-    payload carries its own ``random_state``.
+    and array-only, so the executor can run it in worker processes, one
+    contiguous chunk of components per worker; a chunk's GBMs fit in one
+    :func:`~repro.ml.gbm.fit_many` call.  Payloads carry their own
+    ``random_state``.
     """
-    ridge = RidgeRegression(alpha=payload["ridge_alpha"], nonnegative=True)
-    ridge.fit(payload["h"], payload["h_labels"])
-    gbm = GradientBoostingRegressor(
-        random_state=payload["random_state"], **payload["gbm_params"]
+    pairs = []
+    for payload in payloads:
+        ridge = RidgeRegression(alpha=payload["ridge_alpha"], nonnegative=True)
+        ridge.fit(payload["h"], payload["h_labels"])
+        gbm = GradientBoostingRegressor(
+            random_state=payload["random_state"], **payload["gbm_params"]
+        )
+        pairs.append((ridge, gbm))
+    fit_many(
+        [(gbm, p["x"], p["x_labels"]) for (_, gbm), p in zip(pairs, payloads)]
     )
-    gbm.fit(payload["x"], payload["x_labels"])
-    return ridge, gbm
+    return pairs
 
 
 class RegisterPowerModel:
@@ -93,36 +100,33 @@ class RegisterPowerModel:
             raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = SerialExecutor()
+        groups = rows_by_config(results)
         payloads = [
-            self._component_payload(component.name, results)
+            self._component_payload(component.name, results, groups)
             for component in COMPONENTS
         ]
-        pairs = executor.map(_fit_ridge_gbm_pair, payloads)
+        pairs = executor.map_chunks(_fit_ridge_gbm_pairs, payloads)
         for component, (f_reg, f_act) in zip(COMPONENTS, pairs):
             self._f_reg[component.name] = f_reg
             self._f_act[component.name] = f_act
         self._fitted = True
         return self
 
-    def _component_payload(self, name: str, results: list) -> dict:
-        by_config: dict[str, object] = {}
-        for res in results:
-            by_config.setdefault(res.config.name, res)
-        config_results = list(by_config.values())
-
-        h_rows = [
-            polynomial_hardware_features(res.config, name) for res in config_results
-        ]
+    def _component_payload(
+        self, name: str, results: list, groups: list[ConfigRows]
+    ) -> dict:
+        h_rows = [polynomial_hardware_features(g.config, name) for g in groups]
         r_labels = [
-            float(res.netlist.component(name).registers) for res in config_results
+            float(results[g.indices[0]].netlist.component(name).registers)
+            for g in groups
         ]
-        x_rows, act_labels = [], []
-        for res in results:
+        keep, act_labels = [], []
+        for i, res in enumerate(results):
             registers = res.netlist.component(name).registers
             if registers <= 0:
                 continue
             p_register = res.power.component(name).register
-            x_rows.append(_he_features(res.config, res.events, name))
+            keep.append(i)
             act_labels.append(p_register / registers)
         return {
             "ridge_alpha": self.ridge_alpha,
@@ -130,7 +134,7 @@ class RegisterPowerModel:
             "random_state": self.random_state,
             "h": np.stack(h_rows),
             "h_labels": np.array(r_labels),
-            "x": np.stack(x_rows),
+            "x": feature_rows(groups, name, include_raw=False)[keep],
             "x_labels": np.array(act_labels),
         }
 
@@ -141,7 +145,7 @@ class RegisterPowerModel:
             raise RuntimeError("RegisterPowerModel used before fit")
         h = polynomial_hardware_features(config, component).reshape(1, -1)
         registers = self.hardware_term(component, h)
-        x = _he_features(config, events, component).reshape(1, -1)
+        x = _he_row(config, events, component)
         per_register = max(float(self._f_act[component].predict(x)[0]), 0.0)
         return registers * per_register
 
@@ -189,50 +193,42 @@ class CombPowerModel:
             raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = SerialExecutor()
+        groups = rows_by_config(results)
         payloads = [
-            self._component_payload(component.name, results)
+            self._component_payload(component.name, results, groups)
             for component in COMPONENTS
         ]
-        pairs = executor.map(_fit_ridge_gbm_pair, payloads)
+        pairs = executor.map_chunks(_fit_ridge_gbm_pairs, payloads)
         for component, (f_sta, f_var) in zip(COMPONENTS, pairs):
             self._f_sta[component.name] = f_sta
             self._f_var[component.name] = f_var
         self._fitted = True
         return self
 
-    def _component_payload(self, name: str, results: list) -> dict:
-        by_config: dict[str, list] = {}
-        for res in results:
-            by_config.setdefault(res.config.name, []).append(res)
-
-        # Stable power: average combinational power across workloads.
+    def _component_payload(
+        self, name: str, results: list, groups: list[ConfigRows]
+    ) -> dict:
         h_rows, sta_labels = [], []
-        stable_by_config: dict[str, float] = {}
-        for config_name, config_results in by_config.items():
-            powers = [r.power.component(name).comb for r in config_results]
+        blocks, var_labels = [], []
+        for g in groups:
+            powers = [results[i].power.component(name).comb for i in g.indices]
+            # Stable power: average combinational power across workloads.
             stable = float(np.mean(powers))
-            stable_by_config[config_name] = stable
-            h_rows.append(
-                polynomial_hardware_features(config_results[0].config, name)
-            )
+            h_rows.append(polynomial_hardware_features(g.config, name))
             sta_labels.append(stable)
-
-        # Variation: per-workload ratio to the stable power.
-        x_rows, var_labels = [], []
-        for config_name, config_results in by_config.items():
-            stable = stable_by_config[config_name]
-            if stable <= 0:
-                continue
-            for res in config_results:
-                x_rows.append(_he_features(res.config, res.events, name))
-                var_labels.append(res.power.component(name).comb / stable)
+            # Variation: per-workload ratio to the stable power.
+            if stable > 0:
+                blocks.append(
+                    feature_block_batch(g.config, g.events, name, include_raw=False)
+                )
+                var_labels.extend(p / stable for p in powers)
         return {
             "ridge_alpha": self.ridge_alpha,
             "gbm_params": self.gbm_params,
             "random_state": self.random_state,
             "h": np.stack(h_rows),
             "h_labels": np.array(sta_labels),
-            "x": np.stack(x_rows),
+            "x": np.vstack(blocks),
             "x_labels": np.array(var_labels),
         }
 
@@ -243,7 +239,7 @@ class CombPowerModel:
             raise RuntimeError("CombPowerModel used before fit")
         h = polynomial_hardware_features(config, component).reshape(1, -1)
         stable = self.hardware_term(component, h)
-        x = _he_features(config, events, component).reshape(1, -1)
+        x = _he_row(config, events, component)
         variation = max(float(self._f_var[component].predict(x)[0]), 0.0)
         return stable * variation
 

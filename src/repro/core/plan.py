@@ -117,7 +117,7 @@ class InferencePlan:
                 self.positions.append(pos)
             self.sram_spans.append((comp, first, len(self.positions)))
 
-        self.forest = Forest.from_ensembles([(g.trees_, col) for g, col in gbms])
+        self.forest = Forest.from_ensembles([(g.nodes_, col) for g, col in gbms])
         self.base = np.array([g.base_score_ for g, _ in gbms])[:, None]
         self.learning_rate = np.array([g.learning_rate for g, _ in gbms])[:, None]
 

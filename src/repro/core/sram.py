@@ -29,15 +29,10 @@ from repro.arch.components import component_by_name, sram_components
 from repro.arch.config import BoomConfig
 from repro.arch.events import EventBatch, EventParams
 from repro.arch.workloads import Workload
-from repro.core.features import (
-    event_features,
-    feature_block_batch,
-    hardware_features,
-    program_features,
-)
+from repro.core.features import feature_block_batch, feature_rows, rows_by_config
 from repro.core.scaling import FittedLaw, ScalingPatternDetector
 from repro.library.stdcell import TechLibrary
-from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.gbm import GradientBoostingRegressor, fit_many
 from repro.parallel import Executor, SerialExecutor
 from repro.vlsi.macro_mapping import MacroMapper
 
@@ -78,27 +73,36 @@ class _PositionModel:
         )
 
 
-def _fit_sram_position(payload: dict) -> _PositionModel:
-    """Fit one position's scaling laws and activity GBMs from a payload.
+def _fit_sram_positions(payloads: list[dict]) -> list[_PositionModel]:
+    """Fit each position's scaling laws and activity GBMs from a payload.
 
     Module-level and built from plain arrays only, so the executor can
-    hand it to worker processes; the payload carries its own seeds.
+    hand it to worker processes, one contiguous chunk of positions per
+    worker; a chunk's read and write GBMs fit in one
+    :func:`~repro.ml.gbm.fit_many` call (positions of one component share
+    their feature matrix, and so its presort).  Payloads carry their own
+    seeds.
     """
-    model = _PositionModel(
-        payload["component"], payload["gbm_params"], payload["random_state"]
-    )
-    detector = ScalingPatternDetector(
-        max_combination_size=payload["max_combination_size"],
-        tolerance=payload["tolerance"],
-    )
-    params = payload["params"]
-    param_values = payload["param_values"]
-    model.capacity_law = detector.fit(payload["capacities"], param_values, params)
-    model.throughput_law = detector.fit(payload["throughputs"], param_values, params)
-    model.width_law = detector.fit(payload["widths"], param_values, params)
-    model.f_read.fit(payload["x"], payload["read_labels"])
-    model.f_write.fit(payload["x"], payload["write_labels"])
-    return model
+    models = []
+    jobs = []
+    for payload in payloads:
+        model = _PositionModel(
+            payload["component"], payload["gbm_params"], payload["random_state"]
+        )
+        detector = ScalingPatternDetector(
+            max_combination_size=payload["max_combination_size"],
+            tolerance=payload["tolerance"],
+        )
+        params = payload["params"]
+        param_values = payload["param_values"]
+        model.capacity_law = detector.fit(payload["capacities"], param_values, params)
+        model.throughput_law = detector.fit(payload["throughputs"], param_values, params)
+        model.width_law = detector.fit(payload["widths"], param_values, params)
+        jobs.append((model.f_read, payload["x"], payload["read_labels"]))
+        jobs.append((model.f_write, payload["x"], payload["write_labels"]))
+        models.append(model)
+    fit_many(jobs)
+    return models
 
 
 class SramPowerModel:
@@ -149,10 +153,8 @@ class SramPowerModel:
             raise ValueError("cannot fit on an empty result list")
         if executor is None:
             executor = SerialExecutor()
-        by_config: dict[str, object] = {}
-        for res in results:
-            by_config.setdefault(res.config.name, res)
-        config_results = list(by_config.values())
+        groups = rows_by_config(results)
+        config_results = [results[g.indices[0]] for g in groups]
 
         # Discover positions from the training designs (architecture-visible).
         first_design = config_results[0].design
@@ -168,14 +170,16 @@ class SramPowerModel:
         payloads: list[dict] = []
         for comp_name, pos_names in self._component_positions.items():
             params = component_by_name(comp_name).hardware_parameters
+            # Every position of a component reads the same feature rows.
+            x = feature_rows(groups, comp_name, program=self.use_program_features)
             for pos_name in pos_names:
                 position_names.append(pos_name)
                 payloads.append(
                     self._position_payload(
-                        comp_name, pos_name, params, config_results, results
+                        comp_name, pos_name, params, config_results, results, x
                     )
                 )
-        models = executor.map(_fit_sram_position, payloads)
+        models = executor.map_chunks(_fit_sram_positions, payloads)
         self._positions = dict(zip(position_names, models))
 
         self.c_constant_mw = self._calibrate_constant(config_results[0])
@@ -190,8 +194,10 @@ class SramPowerModel:
         params: tuple[str, ...],
         config_results: list,
         results: list,
+        x: np.ndarray,
     ) -> dict:
-        """Arrays and hyper-parameters of one position's fit task."""
+        """Arrays and hyper-parameters of one position's fit task; ``x``
+        holds the component's feature row of every result."""
         # Hardware side: block shapes per training configuration.
         capacities, throughputs, widths = [], [], []
         param_values: dict[str, list[float]] = {p: [] for p in params}
@@ -203,12 +209,9 @@ class SramPowerModel:
             for p in params:
                 param_values[p].append(float(res.config[p]))
         # Activity side: golden block frequencies per (config, workload).
-        x_rows, read_labels, write_labels = [], [], []
+        read_labels, write_labels = [], []
         for res in results:
             act = res.activity.component(comp_name).positions[pos_name]
-            x_rows.append(
-                self._activity_features(res.config, res.events, res.workload, comp_name)
-            )
             read_labels.append(act.read_per_block_cycle)
             write_labels.append(act.write_per_block_cycle)
         return {
@@ -222,25 +225,10 @@ class SramPowerModel:
             "capacities": capacities,
             "throughputs": throughputs,
             "widths": widths,
-            "x": np.stack(x_rows),
+            "x": x,
             "read_labels": np.array(read_labels),
             "write_labels": np.array(write_labels),
         }
-
-    def _activity_features(
-        self,
-        config: BoomConfig,
-        events: EventParams,
-        workload: Workload,
-        comp_name: str,
-    ) -> np.ndarray:
-        parts = [
-            hardware_features(config, comp_name),
-            event_features(events, comp_name, config),
-        ]
-        if self.use_program_features:
-            parts.append(program_features(workload))
-        return np.concatenate(parts)
 
     def _calibrate_constant(self, result) -> float:
         """Estimate per-macro constant C from golden block power (Eq. 10).
@@ -311,8 +299,9 @@ class SramPowerModel:
         """Predicted block-level (read, write) frequencies per cycle."""
         self._require_fit()
         model = self._positions[position]
-        x = self._activity_features(config, events, workload, model.component)
-        x = x.reshape(1, -1)
+        x = self._activity_features_batch(
+            config, EventBatch.from_events(events), workload, model.component
+        )
         read = max(float(model.f_read.predict(x)[0]), 0.0)
         write = max(float(model.f_write.predict(x)[0]), 0.0)
         return read, write

@@ -12,7 +12,7 @@ The paper uses two model families:
 This environment has no network access, so :mod:`repro.ml.gbm` provides a
 from-scratch gradient-boosted regression-tree implementation with the
 XGBoost-style regularized objective (squared loss, shrinkage, ``reg_lambda``,
-``min_child_weight``, depth limit, feature/row subsampling).
+``min_child_weight``, depth limit, early stopping on the training loss).
 
 Level-wise engine (PR 3, vectorized engine in PR 1)
 ---------------------------------------------------
@@ -24,15 +24,14 @@ presorted workspace (:class:`~repro.ml.tree.TreeWorkspace`), the split
 search for every frontier node and feature runs in one batched pass, and
 nodes are emitted straight into preorder struct-of-arrays buffers
 (:class:`~repro.ml.tree.FlatTree`) — no recursion, no per-node argsorts,
-no per-node cache keys.  ``tree_method="hist"`` batches the same way via
-one composite-key ``bincount`` per level (:class:`~repro.ml.tree.
-HistogramBinner`; ``hist_dtype="float32"`` for a single-precision score
-pipeline).  When a C compiler and ``cffi`` are available, the hot GBM fit
-(exact mode, full rows/columns) runs the identical algorithm as one
-compiled call per fit (:mod:`repro.ml._kernel`; disable with
-``REPRO_NO_KERNEL=1``) — results are byte-identical to the numpy engine.
-:mod:`repro.ml.gbm` assembles the fused inference ensemble incrementally
-during fit and advances all rows x all trees in lockstep at predict time.
+no per-node cache keys.  When a C compiler and ``cffi`` are available,
+the identical algorithm runs compiled (:mod:`repro.ml._kernel`; disable
+with ``REPRO_NO_KERNEL=1``), and :func:`repro.ml.gbm.fit_many` fits any
+number of GBMs in one call — results are byte-identical to the numpy
+engine.  A fitted GBM is one set of preorder node arrays
+(:class:`~repro.ml.tree.TreeArrays`), fused into a
+:class:`~repro.ml.forest.Forest` that advances all rows x all trees in
+lockstep at predict time.
 Measured on the repo's single-core container (interleaved A/B): few-shot
 fit 20.0ms -> 1.7ms (~12x), bulk exact fit 226ms -> 64ms (~3.5x),
 ``fig6_sweep.run()`` 18.1s -> 4.1s (~4.4x); exact-mode predictions match

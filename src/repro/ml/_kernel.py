@@ -1,4 +1,4 @@
-"""Optional compiled kernel for the level-wise exact GBM fit.
+"""Optional compiled kernel for level-wise exact GBM fits.
 
 The few-shot regime fits thousands of tiny trees; even the fully batched
 numpy engine pays a few microseconds of dispatch per array expression,
@@ -6,7 +6,8 @@ which dominates when nodes hold a dozen rows.  This module compiles a
 small, dependency-free C implementation of the *same* level-wise frontier
 algorithm (one batched scan per depth level over presorted segments,
 stable position-cut partition, preorder struct-of-arrays emission) and
-drives the whole boosting loop in one call per fit.
+drives whole boosting loops, for any number of independent fits over
+shared scratch buffers, in one call.
 
 Build strategy: the C source below is written to a per-user cache
 directory and compiled with the system C compiler into a plain shared
@@ -35,26 +36,34 @@ import tempfile
 from repro.env import get_bool
 
 _CDEF = """
-long gbm_fit_exact(
-    const double *xt, const long *order, const long *posof,
-    long n, long f, const double *y,
-    long n_estimators, double learning_rate, long max_depth,
-    double lam, double mcw, double gamma, long mss,
-    long early_stop, double base_score,
-    double *pred, double *losses,
-    long max_nodes, long *tree_off,
+long gbm_fit_batch(
+    long n_jobs, const long *job_matrix,
+    const long *mat_n, const long *mat_f, const long *mat_off,
+    const double *xt, const long *order,
+    const double *y, const long *y_off,
+    const long *n_estimators, const double *learning_rate, const long *max_depth,
+    const double *lam, const double *mcw, const double *gamma,
+    const long *early_stop, const double *base_score,
+    long *rounds_out, double *losses, long *tree_start, int *depth_out,
     int *feat_out, double *thr_out, int *left_out, int *right_out,
-    double *val_out, long *nsamp_out, int *depth_out,
-    int *ens_feat, double *ens_thr, int *ens_left, int *ens_right);
+    double *val_out, long *nsamp_out);
 """
 
 _SOURCE = r"""
-/* Level-wise exact-mode GBM fit (squared loss, unit hessian, full rows
- * and columns).  Mirrors repro.ml.tree._grow_exact: the frontier of each
- * depth level is a set of contiguous row segments over a per-feature
- * presorted order; the split search scans every (node, feature) of the
- * level; accepted splits partition segments by a stable position cut
- * (never re-sorting); nodes are laid out in preorder at emission.
+/* Level-wise exact-mode GBM fits (squared loss, unit hessian, full rows
+ * and columns), many independent jobs per call.  Each job mirrors
+ * repro.ml.tree._grow_exact: the frontier of each depth level is a set
+ * of contiguous row segments over a per-feature presorted order; the
+ * split search scans every (node, feature) of the level; accepted splits
+ * partition segments by a stable position cut (never re-sorting); nodes
+ * are laid out in preorder at emission.
+ *
+ * Layout: job j fits matrix job_matrix[j] (rows mat_n, features mat_f,
+ * its transposed values and stable per-feature sort order at mat_off in
+ * xt/order) against y + y_off[j].  Jobs write their trees one after the
+ * other: tree k of the whole call owns nodes tree_start[k] to
+ * tree_start[k + 1] of the node arrays and has depth depth_out[k] and
+ * post-round loss losses[k]; rounds_out[j] counts job j's trees.
  *
  * Numerical contract: cumulative gradient sums run sequentially in the
  * stable sort order (bitwise-identical to the scalar reference), scores
@@ -72,73 +81,98 @@ typedef struct {
     long bfs;        /* index of this node in the BFS arrays */
 } Seg;
 
-long gbm_fit_exact(
-    const double *xt, const long *order, const long *posof,
-    long n, long f, const double *y,
-    long n_estimators, double learning_rate, long max_depth,
-    double lam, double mcw, double gamma, long mss,
-    long early_stop, double base_score,
-    double *pred, double *losses,
-    long max_nodes, long *tree_off,
-    int *feat_out, double *thr_out, int *left_out, int *right_out,
-    double *val_out, long *nsamp_out, int *depth_out,
-    int *ens_feat, double *ens_thr, int *ens_left, int *ens_right)
-{
-    (void)base_score; /* pred arrives prefilled */
-    long *part = malloc((size_t)f * n * sizeof(long));
-    long *part2 = malloc((size_t)f * n * sizeof(long));
-    double *grad = malloc((size_t)n * sizeof(double));
-    Seg *segs = malloc((size_t)(n + 1) * sizeof(Seg));
-    Seg *segs2 = malloc((size_t)(n + 1) * sizeof(Seg));
-    /* BFS-order scratch for one tree */
-    double *b_val = malloc((size_t)max_nodes * sizeof(double));
-    double *b_thr = malloc((size_t)max_nodes * sizeof(double));
-    double *b_g = malloc((size_t)max_nodes * sizeof(double));
-    long *b_n = malloc((size_t)max_nodes * sizeof(long));
-    long *b_feat = malloc((size_t)max_nodes * sizeof(long));
-    long *b_child = malloc((size_t)max_nodes * sizeof(long));
-    long *b_sz = malloc((size_t)max_nodes * sizeof(long));
-    long *b_pos = malloc((size_t)max_nodes * sizeof(long));
-    if (!part || !part2 || !grad || !segs || !segs2 || !b_val || !b_thr ||
-        !b_g || !b_n || !b_feat || !b_child || !b_sz || !b_pos) {
-        free(part); free(part2); free(grad); free(segs); free(segs2);
-        free(b_val); free(b_thr); free(b_g); free(b_n); free(b_feat);
-        free(b_child); free(b_sz); free(b_pos);
-        return -1;
-    }
+/* Scratch shared by every job of one call, sized for the largest. */
+typedef struct {
+    long *part, *part2, *posof;
+    double *grad, *pred;
+    Seg *segs, *segs2;
+    double *b_val, *b_thr;
+    long *b_n, *b_feat, *b_child, *b_sz, *b_pos;
+} Scratch;
 
-    for (long i = 0; i < n; i++) grad[i] = pred[i] - y[i];
+static void scratch_free(Scratch *s)
+{
+    free(s->part); free(s->part2); free(s->posof); free(s->grad);
+    free(s->pred); free(s->segs); free(s->segs2); free(s->b_val);
+    free(s->b_thr); free(s->b_n); free(s->b_feat); free(s->b_child);
+    free(s->b_sz); free(s->b_pos);
+}
+
+static int scratch_alloc(Scratch *s, long fn, long n, long max_nodes)
+{
+    s->part = malloc((size_t)fn * sizeof(long));
+    s->part2 = malloc((size_t)fn * sizeof(long));
+    s->posof = malloc((size_t)fn * sizeof(long));
+    s->grad = malloc((size_t)n * sizeof(double));
+    s->pred = malloc((size_t)n * sizeof(double));
+    s->segs = malloc((size_t)(n + 1) * sizeof(Seg));
+    s->segs2 = malloc((size_t)(n + 1) * sizeof(Seg));
+    s->b_val = malloc((size_t)max_nodes * sizeof(double));
+    s->b_thr = malloc((size_t)max_nodes * sizeof(double));
+    s->b_n = malloc((size_t)max_nodes * sizeof(long));
+    s->b_feat = malloc((size_t)max_nodes * sizeof(long));
+    s->b_child = malloc((size_t)max_nodes * sizeof(long));
+    s->b_sz = malloc((size_t)max_nodes * sizeof(long));
+    s->b_pos = malloc((size_t)max_nodes * sizeof(long));
+    return s->part && s->part2 && s->posof && s->grad && s->pred && s->segs
+        && s->segs2 && s->b_val && s->b_thr && s->b_n && s->b_feat
+        && s->b_child && s->b_sz && s->b_pos;
+}
+
+/* One GBM fit; returns its number of boosting rounds.  Its trees become
+ * trees k0, k0 + 1, ... of the call (tree_start[k0] is already set). */
+static long fit_one(
+    Scratch *s, const double *xt, const long *order, long n, long f,
+    const double *y, long n_estimators, double learning_rate,
+    long max_depth, double lam, double mcw, double gamma,
+    long early_stop, double base_score, long k0,
+    double *losses, long *tree_start, int *depth_out,
+    int *feat_out, double *thr_out, int *left_out, int *right_out,
+    double *val_out, long *nsamp_out)
+{
+    long *part = s->part, *part2 = s->part2, *posof = s->posof;
+    double *grad = s->grad, *pred = s->pred;
+    Seg *segs = s->segs, *segs2 = s->segs2;
+    double *b_val = s->b_val, *b_thr = s->b_thr;
+    long *b_n = s->b_n, *b_feat = s->b_feat, *b_child = s->b_child;
+    long *b_sz = s->b_sz, *b_pos = s->b_pos;
+
+    for (long j = 0; j < f; j++)
+        for (long i = 0; i < n; i++) posof[j * n + order[j * n + i]] = i;
+    for (long i = 0; i < n; i++) {
+        pred[i] = base_score;
+        grad[i] = pred[i] - y[i];
+    }
 
     double best_loss = INFINITY;
     long rounds_since_best = 0;
     long rounds = 0;
-    tree_off[0] = 0;
 
     for (long t = 0; t < n_estimators; t++) {
         /* ---- grow one tree, level by level ---- */
-        for (long j = 0; j < f; j++)
-            for (long i = 0; i < n; i++) part[j * n + i] = order[j * n + i];
+        for (long j = 0; j < f * n; j++) part[j] = order[j];
         double g_root = 0.0;
         for (long i = 0; i < n; i++) g_root += grad[i];
 
         long nseg = 1;
         segs[0].start = 0; segs[0].size = n; segs[0].g = g_root; segs[0].bfs = 0;
         long n_bfs = 1;
-        b_g[0] = g_root; b_n[0] = n; b_feat[0] = -1; b_child[0] = -1;
+        b_n[0] = n; b_feat[0] = -1; b_child[0] = -1;
         long tree_depth = 0;
 
         for (long depth = 0; nseg > 0; depth++) {
             long nseg2 = 0;
             long o2 = 0; /* next level's write cursor into part2 */
-            for (long s = 0; s < nseg; s++) {
-                long st = segs[s].start, sz = segs[s].size;
-                double gsum = segs[s].g;
-                long bi = segs[s].bfs;
+            for (long sg = 0; sg < nseg; sg++) {
+                long st = segs[sg].start, sz = segs[sg].size;
+                double gsum = segs[sg].g;
+                long bi = segs[sg].bfs;
                 double value = -gsum / ((double)sz + lam);
                 b_val[bi] = value;
                 long bf = -1, bj = -1;
                 double best = -INFINITY, bcum = 0.0;
-                if (depth < max_depth && sz >= mss) {
+                /* min_samples_split is 2: a single row never splits */
+                if (depth < max_depth && sz >= 2) {
                     for (long feat = 0; feat < f; feat++) {
                         const long *rows = part + feat * n + st;
                         const double *xv = xt + feat * n;
@@ -164,7 +198,7 @@ long gbm_fit_exact(
                 }
                 if (!split) {
                     /* leaf: fold its contribution into pred immediately */
-                    const long *rows = part + 0 * n + st;
+                    const long *rows = part + st;
                     for (long j = 0; j < sz; j++)
                         pred[rows[j]] += learning_rate * value;
                     continue;
@@ -195,10 +229,8 @@ long gbm_fit_exact(
                 segs2[nseg2].start = o2 + nl; segs2[nseg2].size = nr;
                 segs2[nseg2].g = gsum - bcum; segs2[nseg2].bfs = n_bfs + 1;
                 nseg2++;
-                b_g[n_bfs] = bcum; b_n[n_bfs] = nl;
-                b_feat[n_bfs] = -1; b_child[n_bfs] = -1;
-                b_g[n_bfs + 1] = gsum - bcum; b_n[n_bfs + 1] = nr;
-                b_feat[n_bfs + 1] = -1; b_child[n_bfs + 1] = -1;
+                b_n[n_bfs] = nl; b_feat[n_bfs] = -1; b_child[n_bfs] = -1;
+                b_n[n_bfs + 1] = nr; b_feat[n_bfs + 1] = -1; b_child[n_bfs + 1] = -1;
                 n_bfs += 2;
                 o2 += sz;
                 tree_depth = depth + 1;
@@ -223,7 +255,8 @@ long gbm_fit_exact(
                 b_pos[lc + 1] = b_pos[i] + 1 + b_sz[lc];
             }
         }
-        long base = tree_off[t];
+        long k = k0 + t;
+        long base = tree_start[k];
         for (long i = 0; i < n_bfs; i++) {
             long p = base + b_pos[i];
             val_out[p] = b_val[i];
@@ -234,23 +267,15 @@ long gbm_fit_exact(
                 thr_out[p] = b_thr[i];
                 left_out[p] = (int)b_pos[lc];
                 right_out[p] = (int)b_pos[lc + 1];
-                ens_feat[p] = (int)b_feat[i];
-                ens_thr[p] = b_thr[i];
-                ens_left[p] = (int)(base + b_pos[lc]);
-                ens_right[p] = (int)(base + b_pos[lc + 1]);
             } else {
                 feat_out[p] = -1;
                 thr_out[p] = 0.0;
                 left_out[p] = -1;
                 right_out[p] = -1;
-                ens_feat[p] = 0;           /* leaves route through col 0 */
-                ens_thr[p] = INFINITY;     /* ... and always go left */
-                ens_left[p] = (int)p;      /* self-loop */
-                ens_right[p] = (int)p;
             }
         }
-        tree_off[t + 1] = base + n_bfs;
-        depth_out[t] = (int)tree_depth;
+        tree_start[k + 1] = base + n_bfs;
+        depth_out[k] = (int)tree_depth;
 
         /* ---- post-round residual doubles as the next gradient ---- */
         double loss = 0.0;
@@ -260,7 +285,7 @@ long gbm_fit_exact(
             loss += gi * gi;
         }
         loss /= (double)n;
-        losses[t] = loss;
+        losses[k] = loss;
         rounds = t + 1;
         if (early_stop >= 0) {  /* negative = disabled (None in Python) */
             if (loss < best_loss - 1e-12) {
@@ -272,11 +297,50 @@ long gbm_fit_exact(
             }
         }
     }
-
-    free(part); free(part2); free(grad); free(segs); free(segs2);
-    free(b_val); free(b_thr); free(b_g); free(b_n); free(b_feat);
-    free(b_child); free(b_sz); free(b_pos);
     return rounds;
+}
+
+long gbm_fit_batch(
+    long n_jobs, const long *job_matrix,
+    const long *mat_n, const long *mat_f, const long *mat_off,
+    const double *xt, const long *order,
+    const double *y, const long *y_off,
+    const long *n_estimators, const double *learning_rate, const long *max_depth,
+    const double *lam, const double *mcw, const double *gamma,
+    const long *early_stop, const double *base_score,
+    long *rounds_out, double *losses, long *tree_start, int *depth_out,
+    int *feat_out, double *thr_out, int *left_out, int *right_out,
+    double *val_out, long *nsamp_out)
+{
+    long max_fn = 1, max_n = 1, max_nodes = 1;
+    for (long j = 0; j < n_jobs; j++) {
+        long m = job_matrix[j], n = mat_n[m];
+        long nodes = 2 * n - 1;  /* a binary tree over n rows */
+        if (max_depth[j] < 62 && (1L << (max_depth[j] + 1)) - 1 < nodes)
+            nodes = (1L << (max_depth[j] + 1)) - 1;
+        if (mat_f[m] * n > max_fn) max_fn = mat_f[m] * n;
+        if (n > max_n) max_n = n;
+        if (nodes > max_nodes) max_nodes = nodes;
+    }
+    Scratch s;
+    if (!scratch_alloc(&s, max_fn, max_n, max_nodes)) {
+        scratch_free(&s);
+        return -1;
+    }
+    long k = 0;
+    tree_start[0] = 0;
+    for (long j = 0; j < n_jobs; j++) {
+        long m = job_matrix[j];
+        rounds_out[j] = fit_one(
+            &s, xt + mat_off[m], order + mat_off[m], mat_n[m], mat_f[m],
+            y + y_off[j], n_estimators[j], learning_rate[j], max_depth[j],
+            lam[j], mcw[j], gamma[j], early_stop[j], base_score[j], k,
+            losses, tree_start, depth_out,
+            feat_out, thr_out, left_out, right_out, val_out, nsamp_out);
+        k += rounds_out[j];
+    }
+    scratch_free(&s);
+    return k;
 }
 """
 

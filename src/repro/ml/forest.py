@@ -12,16 +12,20 @@ flat ``take``: ``children`` interleaves each node's right and left
 child, so a comparison result indexes the next node directly.
 
 A fitted :class:`~repro.ml.gbm.GradientBoostingRegressor` is the
-one-ensemble case; :meth:`Forest.from_ensembles` fuses many of them (the
-inference plan of :mod:`repro.core.plan`) and :meth:`Forest.sum_values`
-evaluates all of them in one pass.
+one-ensemble case; :meth:`Forest.from_ensembles` fuses the node arrays
+of many of them (the inference plan of :mod:`repro.core.plan`) and
+:meth:`Forest.sum_values` evaluates all of them in one pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.ml.tree import TreeArrays
 
 __all__ = ["Forest"]
 
@@ -59,52 +63,36 @@ class Forest:
         self.depth = depth
 
     @classmethod
-    def from_ensembles(cls, ensembles: Sequence[tuple[Sequence[tuple], int]]) -> Forest:
-        """A forest from fitted ensembles of ``(RegressionTree, columns)``.
+    def from_ensembles(cls, ensembles: Sequence[tuple[TreeArrays, int]]) -> Forest:
+        """A forest from ``(node arrays, column offset)`` pairs.
 
-        Each ensemble comes as ``(trees, column offset)``: a tree's
-        features are remapped through its column subsample, and the
-        ensemble reads the wide feature matrix from its offset on.
+        Each ensemble comes as the :class:`~repro.ml.tree.TreeArrays` of
+        a fitted GBM (its ``nodes_``) and reads the wide feature matrix
+        from its column offset on.
         """
-        flats = [[tree.ensure_flat() for tree, _ in trees] for trees, _ in ensembles]
-        n_nodes = sum(flat.feature.size for members in flats for flat in members)
+        n_nodes = sum(arrays.feature.size for arrays, _ in ensembles)
         feature = np.empty(n_nodes, dtype=np.int32)
         threshold = np.empty(n_nodes)
         left = np.empty(n_nodes, dtype=np.int32)
         right = np.empty(n_nodes, dtype=np.int32)
         value = np.empty(n_nodes)
-        roots: list[int] = []
+        roots: list[np.ndarray] = []
         # One ensemble at a time into preallocated arrays: a plan fuses
         # ~125k nodes, and whole-forest temporaries would raise the
         # process's peak memory by a multiple of the forest.
         a = 0
-        for members, (trees, col) in zip(flats, ensembles):
-            counts = [flat.feature.size for flat in members]
-            starts = a + np.cumsum([0] + counts[:-1])
-            b = a + sum(counts)
-            roots.extend(starts.tolist())
+        for arrays, col in ensembles:
+            b = a + arrays.feature.size
+            starts = arrays.tree_offsets[:-1] + a
+            roots.append(starts)
             ids = np.arange(a, b)
-            shift = np.repeat(starts, counts)
-            raw = np.concatenate([flat.feature for flat in members])
-            leaf = raw < 0
-            # Every tree's column subsample laid end to end: one gather
-            # remaps all of the ensemble's features.
-            subsets = [cols for _, cols in trees]
-            subset_start = np.cumsum([0] + [cols.size for cols in subsets[:-1]])
-            remapped = np.concatenate(subsets)[
-                np.repeat(subset_start, counts) + np.maximum(raw, 0)
-            ]
-            feature[a:b] = np.where(leaf, 0, remapped) + col
-            threshold[a:b] = np.where(
-                leaf, np.inf, np.concatenate([flat.threshold for flat in members])
-            )
-            left[a:b] = np.where(
-                leaf, ids, np.concatenate([flat.left for flat in members]) + shift
-            )
-            right[a:b] = np.where(
-                leaf, ids, np.concatenate([flat.right for flat in members]) + shift
-            )
-            value[a:b] = np.concatenate([flat.value for flat in members])
+            shift = np.repeat(starts, np.diff(arrays.tree_offsets))
+            leaf = arrays.feature < 0
+            feature[a:b] = np.where(leaf, 0, arrays.feature) + col
+            threshold[a:b] = np.where(leaf, np.inf, arrays.threshold)
+            left[a:b] = np.where(leaf, ids, arrays.left + shift)
+            right[a:b] = np.where(leaf, ids, arrays.right + shift)
+            value[a:b] = arrays.value
             a = b
         return cls(
             feature,
@@ -112,9 +100,9 @@ class Forest:
             left,
             right,
             value,
-            np.array(roots, dtype=np.int32),
-            np.cumsum([0] + [len(members) for members in flats], dtype=np.int64),
-            max(flat.depth for members in flats for flat in members),
+            np.concatenate(roots).astype(np.int32),
+            np.cumsum([0] + [arrays.n_trees for arrays, _ in ensembles], dtype=np.int64),
+            max(int(arrays.depths.max()) for arrays, _ in ensembles),
         )
 
     def sum_values(self, X: np.ndarray) -> np.ndarray:

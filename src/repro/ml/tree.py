@@ -34,19 +34,12 @@ preorder layout depend only on the frontier *shape*, which repeats
 endlessly across boosting rounds, so they are cached per fit keyed by the
 segment-size signature.
 
-``tree_method="hist"`` grows level-wise too: one flattened ``bincount``
-over a composite (node, feature, bin) key builds every node's histograms at
-once (at most ``max_bin`` quantile buckets per feature, XGBoost-style, via
-:class:`HistogramBinner`).  ``hist_dtype="float32"`` runs the histogram
-score pipeline in single precision — cheaper on wide (nodes × features ×
-bins) grids — while thresholds, leaf values and the fitted model stay
-float64.
-
 Fitted trees are flattened into struct-of-arrays form (:class:`FlatTree`:
 ``feature[]``, ``threshold[]``, ``left[]``, ``right[]``, ``value[]``) and
 inference is an iterative vectorized descent over all rows at once — no
-per-row Python.  The :class:`TreeNode` object graph is kept for
-introspection and serialization.
+per-row Python.  :class:`TreeArrays` lays many such trees end to end (a
+fitted boosted ensemble).  The :class:`TreeNode` object graph is built
+only on request, for introspection.
 """
 
 from __future__ import annotations
@@ -58,15 +51,12 @@ import numpy as np
 
 __all__ = [
     "FlatTree",
-    "HistogramBinner",
     "RegressionTree",
     "SORT_COUNTERS",
+    "TreeArrays",
     "TreeNode",
     "TreeWorkspace",
 ]
-
-_TREE_METHODS = ("exact", "hist")
-_HIST_DTYPES = ("float64", "float32")
 
 # Minimum gain (beyond zero) for a split to be kept; also the tolerance the
 # historical scalar engine used when comparing candidate gains.
@@ -164,7 +154,8 @@ class FlatTree:
         self.right = np.asarray(right, dtype=np.int32)
         self.value = np.asarray(value, dtype=float)
         self.n_samples = np.asarray(n_samples, dtype=np.int64)
-        self.depth = _flat_depth(self.feature, self.left, self.right)
+        offsets = np.array([0, self.feature.size], dtype=np.int64)
+        self.depth = int(_tree_depths(self.feature, self.left, self.right, offsets)[0])
 
     @classmethod
     def _from_parts(
@@ -265,20 +256,91 @@ class FlatTree:
         return self.value[node]
 
 
-def _flat_depth(feature: np.ndarray, left: np.ndarray, right: np.ndarray) -> int:
-    """Depth of a flattened tree (0 for a stump leaf)."""
-    depth = np.zeros(feature.size, dtype=np.int64)
-    best = 0
-    # Preorder guarantees children have larger indices than their parent,
-    # so one forward pass settles every node's depth.
-    for i in range(feature.size):
-        if feature[i] >= 0:
-            child = depth[i] + 1
-            depth[left[i]] = child
-            depth[right[i]] = child
-            if child > best:
-                best = int(child)
-    return best
+class TreeArrays:
+    """Preorder node arrays of many trees, laid end to end.
+
+    Tree ``t`` owns nodes ``tree_offsets[t]`` to ``tree_offsets[t + 1]``,
+    and within its slice every array is exactly :class:`FlatTree`'s
+    (tree-local ``left``/``right``, ``-1`` links and threshold ``0.0`` at
+    leaves).  ``depths`` holds each tree's depth.  The compiled kernel
+    emits this layout directly; it is the fitted state of a
+    :class:`~repro.ml.gbm.GradientBoostingRegressor`.
+    """
+
+    __slots__ = (
+        "feature", "threshold", "left", "right", "value", "n_samples",
+        "tree_offsets", "depths",
+    )
+
+    def __init__(
+        self,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+        value: np.ndarray,
+        n_samples: np.ndarray,
+        tree_offsets: np.ndarray,
+        depths: np.ndarray | None = None,
+    ) -> None:
+        self.feature = feature
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.value = value
+        self.n_samples = n_samples
+        self.tree_offsets = tree_offsets
+        self.depths = (
+            _tree_depths(feature, left, right, tree_offsets) if depths is None else depths
+        )
+
+    @classmethod
+    def concatenate(cls, parts: list[tuple]) -> TreeArrays:
+        """Trees given as ``(feature, threshold, left, right, value,
+        n_samples, depth)`` tuples, in order."""
+        fields = list(zip(*parts))
+        return cls(
+            *(np.concatenate(column) for column in fields[:6]),
+            np.cumsum([0] + [f.size for f in fields[0]], dtype=np.int64),
+            np.array(fields[6], dtype=np.int32),
+        )
+
+    @property
+    def n_trees(self) -> int:
+        return int(self.tree_offsets.size - 1)
+
+    def tree(self, t: int) -> FlatTree:
+        """Tree ``t`` as a :class:`FlatTree` over views of these arrays."""
+        a, b = int(self.tree_offsets[t]), int(self.tree_offsets[t + 1])
+        return FlatTree._from_parts(
+            self.feature[a:b], self.threshold[a:b], self.left[a:b],
+            self.right[a:b], self.value[a:b], self.n_samples[a:b],
+            int(self.depths[t]),
+        )
+
+
+def _tree_depths(
+    feature: np.ndarray, left: np.ndarray, right: np.ndarray, tree_offsets: np.ndarray
+) -> np.ndarray:
+    """Depth of every tree of a preorder node-array set (0 for a leaf).
+
+    Each pass pushes every parent's depth one level down to its
+    children, so the loop settles after the deepest tree's depth.
+    """
+    starts = np.repeat(tree_offsets[:-1], np.diff(tree_offsets))
+    parents = np.nonzero(feature >= 0)[0]
+    children = np.concatenate(
+        [left[parents] + starts[parents], right[parents] + starts[parents]]
+    )
+    depth = np.zeros(feature.size, dtype=np.int32)
+    while True:
+        pushed = np.tile(depth[parents] + 1, 2)
+        if np.array_equal(depth[children], pushed):
+            break
+        depth[children] = pushed
+    if tree_offsets.size < 2:
+        return np.zeros(0, dtype=np.int32)
+    return np.maximum.reduceat(depth, tree_offsets[:-1]).astype(np.int32)
 
 
 class TreeWorkspace:
@@ -300,9 +362,6 @@ class TreeWorkspace:
     ``posof``
         the inverse permutation of ``order`` (row -> sorted position),
         used to partition child segments without re-sorting.
-
-    Column subsampling slices the workspace (row subsampling invalidates it
-    — the caller must build a fresh one then).
     """
 
     __slots__ = ("xt", "order", "sv", "root_good", "_posof")
@@ -327,98 +386,6 @@ class TreeWorkspace:
             self._posof = posof
         return self._posof
 
-    def subset_cols(self, cols: np.ndarray) -> TreeWorkspace:
-        sub = object.__new__(TreeWorkspace)
-        sub.xt = self.xt[cols]
-        sub.order = self.order[cols]
-        sub.sv = self.sv[cols]
-        sub.root_good = self.root_good[cols]
-        sub._posof = self._posof[cols] if self._posof is not None else None
-        return sub
-
-
-class HistogramBinner:
-    """Per-fit quantile-bin index cache for ``tree_method="hist"``.
-
-    Each feature gets at most ``max_bin`` buckets.  When a feature has few
-    distinct values the bucket boundaries are the midpoints between
-    consecutive unique values — in that regime the histogram search is
-    exactly the exact greedy search.  Otherwise boundaries are quantile cut
-    points of the training distribution.  The binned index matrix is
-    computed once and shared by every boosting round (the GBM fits dozens
-    of trees on the same ``X``), which is the main point of the cache.
-    """
-
-    __slots__ = ("binned", "edges", "n_edges", "max_bin", "n_features", "_flat_base", "_cand")
-
-    def __init__(self, X: np.ndarray, max_bin: int = 256) -> None:
-        if max_bin < 2:
-            raise ValueError("max_bin must be >= 2")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        n, f = X.shape
-        self.max_bin = int(max_bin)
-        self.n_features = f
-        edge_list: list[np.ndarray] = []
-        for j in range(f):
-            col = X[:, j]
-            uniq = np.unique(col)
-            if uniq.size <= 1:
-                edges = np.empty(0, dtype=float)
-            elif uniq.size <= max_bin:
-                edges = 0.5 * (uniq[:-1] + uniq[1:])
-            else:
-                qs = np.quantile(col, np.linspace(0.0, 1.0, max_bin + 1)[1:-1])
-                edges = np.unique(qs)
-            edge_list.append(edges)
-        self.n_edges = np.array([e.size for e in edge_list], dtype=np.int64)
-        width = max(int(self.n_edges.max(initial=0)), 1)
-        self.edges = np.full((f, width), np.inf)
-        binned = np.empty((n, f), dtype=np.int32)
-        for j, edges in enumerate(edge_list):
-            self.edges[j, : edges.size] = edges
-            # bin b holds values <= edges[b]; the last bin holds the rest.
-            binned[:, j] = np.searchsorted(edges, X[:, j], side="left")
-        self.binned = binned
-        self._flat_base: np.ndarray | None = None
-        self._cand: np.ndarray | None = None
-
-    def flat_base(self) -> np.ndarray:
-        """``binned`` offset per feature — composite-key base for the
-        level-wise flattened histogram ``bincount``."""
-        if self._flat_base is None:
-            width = self.edges.shape[1] + 1
-            offsets = (np.arange(self.n_features, dtype=np.int64) * width)[None, :]
-            self._flat_base = self.binned + offsets
-        return self._flat_base
-
-    def cand_mask(self) -> np.ndarray:
-        """(f, width-1) mask of real bin boundaries (edges vary per feature)."""
-        if self._cand is None:
-            width = self.edges.shape[1] + 1
-            self._cand = np.arange(width - 1)[None, :] < self.n_edges[:, None]
-        return self._cand
-
-    def subset(self, rows: np.ndarray | None, cols: np.ndarray | None) -> HistogramBinner:
-        """A view of the cache restricted to a row/column subsample."""
-        sub = object.__new__(HistogramBinner)
-        binned = self.binned
-        edges = self.edges
-        n_edges = self.n_edges
-        if cols is not None:
-            binned = binned[:, cols]
-            edges = edges[cols]
-            n_edges = n_edges[cols]
-        if rows is not None:
-            binned = binned[rows]
-        sub.binned = binned
-        sub.edges = edges
-        sub.n_edges = n_edges
-        sub.max_bin = self.max_bin
-        sub.n_features = binned.shape[1]
-        sub._flat_base = None
-        sub._cand = None
-        return sub
-
 
 @dataclass
 class _SplitSearchConfig:
@@ -437,7 +404,6 @@ class _SplitSearchConfig:
     reg_lambda: float
     gamma: float
     unit_hess: bool = False
-    hist_dtype: str = "float64"
     shape_cache: dict = field(default_factory=dict)
     struct_cache: dict = field(default_factory=dict)
 
@@ -460,15 +426,6 @@ class RegressionTree:
         L2 penalty on leaf weights.
     gamma:
         Minimum gain required to make a split.
-    tree_method:
-        ``"exact"`` scans every distinct threshold; ``"hist"`` scans at
-        most ``max_bin`` quantile-bin boundaries per feature.
-    max_bin:
-        Bucket budget per feature for ``tree_method="hist"``.
-    hist_dtype:
-        ``"float64"`` (default) or ``"float32"`` — precision of the
-        histogram score pipeline (``"hist"`` only; the fitted tree is
-        always float64).
     """
 
     def __init__(
@@ -478,32 +435,16 @@ class RegressionTree:
         min_child_weight: float = 1.0,
         reg_lambda: float = 1.0,
         gamma: float = 0.0,
-        tree_method: str = "exact",
-        max_bin: int = 256,
-        hist_dtype: str = "float64",
     ) -> None:
         if max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
-        if tree_method not in _TREE_METHODS:
-            raise ValueError(
-                f"tree_method must be one of {_TREE_METHODS}, got {tree_method!r}"
-            )
-        if max_bin < 2:
-            raise ValueError("max_bin must be >= 2")
-        if hist_dtype not in _HIST_DTYPES:
-            raise ValueError(
-                f"hist_dtype must be one of {_HIST_DTYPES}, got {hist_dtype!r}"
-            )
         self.max_depth = int(max_depth)
         self.min_samples_split = int(min_samples_split)
         self.min_child_weight = float(min_child_weight)
         self.reg_lambda = float(reg_lambda)
         self.gamma = float(gamma)
-        self.tree_method = tree_method
-        self.max_bin = int(max_bin)
-        self.hist_dtype = hist_dtype
         self._root: TreeNode | None = None
         self.flat_: FlatTree | None = None
         self.n_features_: int = 0
@@ -515,10 +456,6 @@ class RegressionTree:
         if self._root is None and self.flat_ is not None:
             self._root = self.flat_.to_node()
         return self._root
-
-    @root_.setter
-    def root_(self, node: TreeNode | None) -> None:
-        self._root = node
 
     # ------------------------------------------------------------------
     def fit(self, X, y) -> RegressionTree:
@@ -536,18 +473,15 @@ class RegressionTree:
         X,
         grad,
         hess,
-        binner: HistogramBinner | None = None,
         workspace: TreeWorkspace | None = None,
         train_pred: np.ndarray | None = None,
     ) -> RegressionTree:
-        """Fit on explicit first/second-order statistics (boosting path).
+        """Fit on explicit first/second-order statistics.
 
-        ``binner``/``workspace`` supply precomputed per-``X`` caches (a
-        boosting loop shares one across rounds); when omitted they are
-        built on demand.  ``train_pred``, when given, is filled in place
-        with the tree's predictions on the training rows — a free
-        by-product of the leaf partition that saves the boosting loop a
-        full ``predict`` pass.
+        ``workspace`` supplies the precomputed per-``X`` presort; when
+        omitted it is built on demand.  ``train_pred``, when given, is
+        filled in place with the tree's predictions on the training rows
+        — a free by-product of the leaf partition.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         grad = np.asarray(grad, dtype=float).ravel()
@@ -563,50 +497,25 @@ class RegressionTree:
             reg_lambda=self.reg_lambda,
             gamma=self.gamma,
             unit_hess=bool(np.all(hess == 1.0)),
-            hist_dtype=self.hist_dtype,
         )
-        if self.tree_method == "hist":
-            if binner is None:
-                binner = HistogramBinner(X, self.max_bin)
-            elif binner.n_features != X.shape[1]:
-                raise ValueError("binner does not match the feature count of X")
-        else:
-            binner = None
-        return self._fit_core(X, grad, hess, cfg, binner, workspace, train_pred)
-
-    def _fit_core(
-        self,
-        X: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        cfg: _SplitSearchConfig,
-        binner: HistogramBinner | None,
-        workspace: TreeWorkspace | None,
-        train_pred: np.ndarray | None,
-    ) -> RegressionTree:
-        """Validation-free fit used by the boosting loop (caches prebuilt)."""
+        if workspace is None:
+            workspace = TreeWorkspace(X)
         self.n_features_ = X.shape[1]
-        if binner is not None:
-            parts = _grow_hist(binner, grad, hess, cfg, train_pred)
-        else:
-            if workspace is None:
-                workspace = TreeWorkspace(X)
-            parts = _grow_exact(workspace, grad, hess, cfg, train_pred)
-        self.flat_ = FlatTree._from_parts(*parts)
+        self.flat_ = FlatTree._from_parts(
+            *_grow_exact(workspace, grad, hess, cfg, train_pred)
+        )
         self._root = None
         return self
 
     def ensure_flat(self) -> FlatTree:
         """The struct-of-arrays form of the fitted tree."""
         if self.flat_ is None:
-            if self._root is None:
-                raise RuntimeError("tree is not fitted")
-            self.flat_ = FlatTree.from_node(self._root)
+            raise RuntimeError("tree is not fitted")
         return self.flat_
 
     # ------------------------------------------------------------------
     def predict(self, X) -> np.ndarray:
-        if self.flat_ is None and self._root is None:
+        if self.flat_ is None:
             raise RuntimeError("RegressionTree.predict called before fit")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.n_features_:
@@ -618,18 +527,7 @@ class RegressionTree:
     @property
     def depth_(self) -> int:
         """Depth of the fitted tree (0 for a stump leaf)."""
-        if self.flat_ is not None:
-            return self.flat_.depth
-        if self._root is None:
-            raise RuntimeError("tree is not fitted")
-        return _max_depth(self._root)
-
-
-def _max_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    assert node.left is not None and node.right is not None
-    return 1 + max(_max_depth(node.left), _max_depth(node.right))
+        return self.ensure_flat().depth
 
 
 class _LevelShapes:
@@ -982,181 +880,3 @@ def _build_struct_template(levels: list[tuple], sig: list[tuple]):
     perm = pos[0] if L == 1 else np.concatenate(pos)
     pacc = np.concatenate(pacc_parts) if pacc_parts else None
     return total, L - 1, perm, pacc, left, right, nsamp
-
-
-def _grow_hist(
-    binner: HistogramBinner,
-    grad: np.ndarray,
-    hess: np.ndarray,
-    cfg: _SplitSearchConfig,
-    train_pred: np.ndarray | None,
-):
-    """Level-wise histogram growth over precomputed quantile bins.
-
-    Every frontier node's gradient/count histograms come from one flattened
-    ``bincount`` over a composite (node, feature, bin) key; candidate
-    boundaries are bin upper edges.  With ``hist_dtype="float32"`` the
-    cumulative/score pipeline runs in single precision (the fitted tree and
-    node statistics stay float64).
-    """
-    binned = binner.binned
-    n, f = binned.shape
-    width = binner.edges.shape[1] + 1
-    fw = f * width
-    unit = cfg.unit_hess
-    lam = cfg.reg_lambda
-    mcw = cfg.min_child_weight
-    mss = cfg.min_samples_split
-    f32 = cfg.hist_dtype == "float32"
-    flat_base = binner.flat_base()
-    cand = binner.cand_mask()
-
-    rows: np.ndarray | None = None  # None = all rows, all in node 0
-    lbl: np.ndarray | None = None
-    sizes: tuple = (n,)
-    g_node = np.array([grad.sum()])
-    h_node = None if unit else np.array([hess.sum()])
-    levels: list[tuple] = []
-    sig: list[tuple] = []
-    depth = 0
-
-    while True:
-        K = len(sizes)
-        np_sizes = np.array(sizes, dtype=np.int64)
-        if unit:
-            value = g_node / -(np_sizes + lam)
-        else:
-            value = g_node / -(h_node + lam)
-        elig = np_sizes >= mss
-        if depth >= cfg.max_depth or not elig.any():
-            levels.append((value, np_sizes, None, None, None))
-            sig.append((sizes, ()))
-            if train_pred is not None:
-                if rows is None:
-                    train_pred[:] = value[0]
-                else:
-                    train_pred[rows] = value[lbl]
-            break
-
-        # -- one flattened bincount builds every node's histograms -------
-        if rows is None:
-            comp = flat_base.ravel()
-            gw = np.repeat(grad, f)
-            hw = None if unit else np.repeat(hess, f)
-        else:
-            comp = (flat_base[rows] + (lbl.astype(np.int64) * fw)[:, None]).ravel()
-            gw = np.repeat(grad[rows], f)
-            hw = None if unit else np.repeat(hess[rows], f)
-        ghist = np.bincount(comp, weights=gw, minlength=K * fw).reshape(K, f, width)
-        chist = np.bincount(comp, minlength=K * fw).reshape(K, f, width)
-        glc = np.cumsum(ghist, axis=2)[:, :, : width - 1]
-        nl = np.cumsum(chist, axis=2)[:, :, : width - 1]
-        if unit:
-            hlc = nl  # hessian == sample count; arithmetic upcasts exactly
-            hsum = np_sizes
-        else:
-            hhist = np.bincount(comp, weights=hw, minlength=K * fw).reshape(K, f, width)
-            hlc = np.cumsum(hhist, axis=2)[:, :, : width - 1]
-            hsum = h_node
-        if f32:
-            gl_s = glc.astype(np.float32)
-            hl_s = hlc.astype(np.float32)
-            gr_s = g_node.astype(np.float32)[:, None, None] - gl_s
-            hr_s = hsum.astype(np.float32)[:, None, None] - hl_s
-            lam_s = np.float32(lam)
-        else:
-            gl_s, hl_s = glc, hlc
-            gr_s = g_node[:, None, None] - glc
-            hr_s = hsum[:, None, None] - hlc
-            lam_s = lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score = gl_s * gl_s / (hl_s + lam_s) + gr_s * gr_s / (hr_s + lam_s)
-        if unit:
-            # Counts double as hessians: both the never-empty-children rule
-            # and min_child_weight collapse into one count window per node.
-            lo = max(1, math.ceil(mcw))
-            hi = (np_sizes - lo)[:, None, None]
-            valid = cand[None] & (nl >= lo) & (nl <= hi)
-        else:
-            valid = (
-                cand[None]
-                & (nl >= 1)  # a node may occupy few bins: never empty children
-                & (nl <= (np_sizes - 1)[:, None, None])
-                & (hlc >= mcw)
-                & ((hsum[:, None, None] - hlc) >= mcw)
-                & ~np.isnan(score)
-            )
-        scm = np.where(valid, score, -np.inf)
-        sct = scm.reshape(K, f * (width - 1))  # C-order: feature-major ties
-        best = sct.argmax(axis=1)
-        best_sc = sct[_arange(K), best].astype(float)
-        bf = best // (width - 1)
-        bp = best - bf * (width - 1)
-        gain = 0.5 * (best_sc - g_node * g_node / (hsum + lam)) - cfg.gamma
-        ai = np.nonzero((gain > _GAIN_EPS) & elig)[0]
-        A = ai.size
-        if A == 0:
-            levels.append((value, np_sizes, None, None, None))
-            sig.append((sizes, ()))
-            if train_pred is not None:
-                if rows is None:
-                    train_pred[:] = value[0]
-                else:
-                    train_pred[rows] = value[lbl]
-            break
-
-        bfa = bf[ai]
-        bpa = bp[ai]
-        thr = binner.edges[bfa, bpa]
-        n_left = nl[ai, bfa, bpa]
-        if f32:
-            # Node statistics stay float64: re-reduce the winners' prefix
-            # bins from the double-precision histograms (A is small).
-            gla = np.array(
-                [ghist[k, bfa[a], : bpa[a] + 1].sum() for a, k in enumerate(ai)]
-            )
-        else:
-            gla = glc[ai, bfa, bpa]
-        acc_t = tuple(ai.tolist())
-        levels.append((value, np_sizes, ai, bfa.astype(np.int64), thr))
-        sig.append((sizes, acc_t))
-
-        # -- reassign rows to children / settle leaves -------------------
-        if rows is None:
-            rows = np.arange(n)
-            lbl = np.zeros(n, dtype=np.int64)
-        bf_full = np.full(K, -1, dtype=np.int64)
-        bf_full[ai] = bfa
-        bp_full = np.zeros(K, dtype=np.int64)
-        bp_full[ai] = bpa
-        childbase = np.zeros(K, dtype=np.int64)
-        childbase[ai] = 2 * np.arange(A)
-        rbf = bf_full[lbl]
-        act = rbf >= 0
-        if train_pred is not None and A < K:
-            leaf_rows = rows[~act]
-            train_pred[leaf_rows] = value[lbl[~act]]
-        rows = rows[act]
-        lsub = lbl[act]
-        go_right = binned[rows, rbf[act]] > bp_full[lsub]
-        lbl = childbase[lsub] + go_right
-        new_sizes = []
-        for a in range(A):
-            k = int(ai[a])
-            nlk = int(n_left[a])
-            new_sizes.append(nlk)
-            new_sizes.append(sizes[k] - nlk)
-        g2 = np.empty(2 * A)
-        g2[0::2] = gla
-        g2[1::2] = g_node[ai] - gla
-        g_node = g2
-        if not unit:
-            hla = hlc[ai, bfa, bpa]
-            h2 = np.empty(2 * A)
-            h2[0::2] = hla
-            h2[1::2] = h_node[ai] - hla
-            h_node = h2
-        sizes = tuple(new_sizes)
-        depth += 1
-
-    return _assemble(levels, sig, cfg)

@@ -170,6 +170,19 @@ class Executor:
     def map(self, fn, iterable) -> list:
         raise NotImplementedError
 
+    def map_chunks(self, fn, items) -> list:
+        """``fn`` over contiguous chunks of ``items``, one per worker.
+
+        ``fn`` takes a list and returns one result per element; the
+        results come back flattened in item order, so the chunking never
+        shows.  A serial executor makes one call over every item.
+        """
+        items = list(items)
+        k = min(self.n_jobs, len(items)) or 1
+        bounds = [len(items) * i // k for i in range(k + 1)]
+        chunks = [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        return [result for part in self.map(fn, chunks) for result in part]
+
     def close(self) -> None:
         """Release the worker pool (no-op for the serial backend)."""
 

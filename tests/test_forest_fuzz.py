@@ -91,7 +91,7 @@ def test_multi_ensemble_descent_matches_per_tree_sums(
     X = _wide_rows(models, thresholds_only, n_rows, rng)
     offsets = np.cumsum([0] + [m.n_features_ for m in models])
     fused = Forest.from_ensembles(
-        [(m.trees_, int(col)) for m, col in zip(models, offsets)]
+        [(m.nodes_, int(col)) for m, col in zip(models, offsets)]
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(forest_module, "BLOCK_ELEMENTS", block)

@@ -1,16 +1,13 @@
 """Equivalence suite for the vectorized tree engine.
 
 A deliberately naive scalar implementation (per-candidate Python loops,
-per-row tree traversal) serves as the reference; the vectorized /
-histogram engines must reproduce it:
+per-row tree traversal) serves as the reference; the vectorized engine
+must reproduce it:
 
-* exact mode — identical tree *structure* (feature, threshold, leaf
-  values) and per-row predictions on randomized datasets,
-* hist mode — identical structure when every feature has few distinct
-  values (bin edges degenerate to the exact midpoints), tolerance-bounded
-  training fit otherwise,
+* identical tree *structure* (feature, threshold, leaf values) and
+  per-row predictions on randomized datasets,
 * the flattened struct-of-arrays representation — lossless round-trip
-  through :mod:`repro.ml.serialize`, including the legacy nested format,
+  through :mod:`repro.ml.serialize`,
 * the batched prediction path — bitwise-equal to scalar prediction.
 """
 
@@ -22,7 +19,7 @@ import pytest
 from repro.arch.events import EVENT_NAMES, EventBatch
 from repro.core.autopower import events_at_scale
 from repro.ml.gbm import GradientBoostingRegressor
-from repro.ml.serialize import gbm_from_dict, gbm_to_dict, tree_from_dict, tree_to_dict
+from repro.ml.serialize import tree_from_dict, tree_to_dict
 from repro.ml.tree import FlatTree, RegressionTree
 
 GAIN_EPS = 1e-12
@@ -158,7 +155,7 @@ class TestExactEquivalence:
     def test_structure_matches_reference(self, case):
         X, y = _datasets()[case]
         kw = dict(max_depth=4, reg_lambda=0.7, min_child_weight=2.0, gamma=0.01)
-        tree = RegressionTree(tree_method="exact", **kw).fit(X, y)
+        tree = RegressionTree(**kw).fit(X, y)
         ref = _reference_tree(X, y, **kw)
         _assert_same_structure(ref, tree.root_)
 
@@ -206,48 +203,6 @@ class TestExactEquivalence:
         assert np.allclose(got, want, rtol=1e-9, atol=0)
 
 
-class TestHistEquivalence:
-    def test_hist_matches_exact_on_few_distinct_values(self):
-        # With fewer distinct values than max_bin, the quantile edges are
-        # the exact-midpoint thresholds, so the trees must be identical.
-        rng = np.random.default_rng(11)
-        X = rng.integers(0, 12, size=(100, 4)).astype(float)
-        y = X[:, 0] * 2.0 - X[:, 1] + rng.normal(size=100)
-        exact = RegressionTree(max_depth=4, tree_method="exact").fit(X, y)
-        hist = RegressionTree(max_depth=4, tree_method="hist", max_bin=64).fit(X, y)
-        fe, fh = exact.ensure_flat(), hist.ensure_flat()
-        assert np.array_equal(fe.feature, fh.feature)
-        # Thresholds may use different representatives of the same gap
-        # (node-local midpoint vs global bin edge); the partitions must be
-        # identical, so node sizes and training predictions agree.
-        assert np.array_equal(fe.n_samples, fh.n_samples)
-        assert np.allclose(exact.predict(X), hist.predict(X), rtol=1e-9, atol=1e-12)
-
-    def test_hist_gbm_fits_continuous_data_within_tolerance(self):
-        rng = np.random.default_rng(5)
-        X = rng.uniform(0, 1, size=(400, 5))
-        y = 10 * np.sin(np.pi * X[:, 0] * X[:, 1]) + 5 * X[:, 2]
-        kw = dict(n_estimators=120, learning_rate=0.1, max_depth=4)
-        exact = GradientBoostingRegressor(tree_method="exact", **kw).fit(X, y)
-        hist = GradientBoostingRegressor(tree_method="hist", max_bin=64, **kw).fit(X, y)
-        rmse_exact = float(np.sqrt(np.mean((exact.predict(X) - y) ** 2)))
-        rmse_hist = float(np.sqrt(np.mean((hist.predict(X) - y) ** 2)))
-        assert rmse_hist < max(2.0 * rmse_exact, 0.15 * float(np.std(y)))
-
-    def test_hist_respects_min_child_weight(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(size=(30, 3))
-        y = rng.normal(size=30)
-        tree = RegressionTree(
-            max_depth=4, tree_method="hist", min_child_weight=8.0
-        ).fit(X, y)
-        flat = tree.ensure_flat()
-        internal = flat.feature >= 0
-        for i in np.nonzero(internal)[0]:
-            assert flat.n_samples[flat.left[i]] >= 8
-            assert flat.n_samples[flat.right[i]] >= 8
-
-
 class TestFlattenedRepresentation:
     def test_flat_arrays_round_trip_serialization(self):
         rng = np.random.default_rng(2)
@@ -260,26 +215,6 @@ class TestFlattenedRepresentation:
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
         assert np.array_equal(tree.predict(X), clone.predict(X))
 
-    def test_legacy_nested_format_still_loads(self):
-        legacy = {
-            "kind": "tree",
-            "n_features": 1,
-            "max_depth": 1,
-            "reg_lambda": 0.0,
-            "root": {
-                "value": 3.0,
-                "n_samples": 20,
-                "feature": 0,
-                "threshold": 9.5,
-                "left": {"value": 1.0, "n_samples": 10},
-                "right": {"value": 5.0, "n_samples": 10},
-            },
-        }
-        tree = tree_from_dict(legacy)
-        pred = tree.predict(np.array([[0.0], [20.0]]))
-        assert pred[0] == pytest.approx(1.0)
-        assert pred[1] == pytest.approx(5.0)
-
     def test_flat_tree_node_graph_round_trip(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(50, 3))
@@ -290,20 +225,6 @@ class TestFlattenedRepresentation:
             assert np.array_equal(
                 getattr(tree.ensure_flat(), field), getattr(rebuilt, field)
             ), field
-
-    def test_hist_gbm_serializes_with_tree_method(self):
-        rng = np.random.default_rng(6)
-        X = rng.uniform(size=(50, 3))
-        y = rng.normal(size=50)
-        model = GradientBoostingRegressor(
-            n_estimators=10, tree_method="hist", max_bin=32
-        ).fit(X, y)
-        state = gbm_to_dict(model)
-        assert state["params"]["tree_method"] == "hist"
-        clone = gbm_from_dict(state)
-        assert clone.tree_method == "hist"
-        assert np.array_equal(model.predict(X), clone.predict(X))
-
 
 class TestBatchedPredictionEquivalence:
     def test_predict_reports_matches_scalar_reports(self, autopower2, flow, c8, dhrystone):

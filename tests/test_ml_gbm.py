@@ -39,16 +39,10 @@ class TestFit:
 
     def test_deterministic_for_fixed_seed(self):
         X, y = _friedman_like(n=60)
-        kwargs = dict(n_estimators=30, subsample=0.7, colsample_bytree=0.6, random_state=7)
+        kwargs = dict(n_estimators=30, random_state=7)
         a = GradientBoostingRegressor(**kwargs).fit(X, y).predict(X)
         b = GradientBoostingRegressor(**kwargs).fit(X, y).predict(X)
         assert np.array_equal(a, b)
-
-    def test_seed_changes_results_with_subsampling(self):
-        X, y = _friedman_like(n=60)
-        a = GradientBoostingRegressor(n_estimators=30, subsample=0.6, random_state=0).fit(X, y)
-        b = GradientBoostingRegressor(n_estimators=30, subsample=0.6, random_state=1).fit(X, y)
-        assert not np.array_equal(a.predict(X), b.predict(X))
 
     def test_cannot_extrapolate_beyond_training_targets(self):
         # The mechanism behind the paper's few-shot argument: tree
@@ -75,14 +69,6 @@ class TestFit:
         stages = list(model.staged_predict(X))
         assert len(stages) == model.n_trees_ + 1
 
-    def test_colsample_uses_feature_subsets(self):
-        X, y = _friedman_like(n=60)
-        model = GradientBoostingRegressor(
-            n_estimators=20, colsample_bytree=0.5, random_state=0
-        ).fit(X, y)
-        sizes = {len(cols) for _, cols in model.trees_}
-        assert sizes == {2}  # 4 features * 0.5
-
 
 class TestValidation:
     def test_bad_n_estimators(self):
@@ -94,10 +80,6 @@ class TestValidation:
             GradientBoostingRegressor(learning_rate=0.0)
         with pytest.raises(ValueError):
             GradientBoostingRegressor(learning_rate=1.5)
-
-    def test_bad_subsample(self):
-        with pytest.raises(ValueError):
-            GradientBoostingRegressor(subsample=0.0)
 
     def test_predict_before_fit(self):
         with pytest.raises(RuntimeError):

@@ -8,8 +8,7 @@ level-wise rewrite is most likely to get wrong:
   deliberately naive per-node scalar reference,
 * the compiled kernel against the pure-numpy engine (byte-identical
   serialized models, identical predictions),
-* serialization round-trips of level-wise-fitted models through the
-  legacy nested format,
+* serialization round-trips of kernel- or numpy-fitted models,
 * the no-per-node-argsort invariant via ``SORT_COUNTERS``.
 """
 
@@ -20,7 +19,7 @@ import pytest
 
 from repro.ml._kernel import get_kernel
 from repro.ml.gbm import GradientBoostingRegressor
-from repro.ml.serialize import gbm_from_dict, gbm_to_dict, tree_from_dict
+from repro.ml.serialize import gbm_from_dict, gbm_to_dict
 from repro.ml.tree import SORT_COUNTERS, RegressionTree
 
 GAIN_EPS = 1e-12
@@ -154,22 +153,6 @@ class TestSmallNReference:
         )
         _assert_structure(ref, tree.root_)
 
-    @pytest.mark.parametrize("case", range(12))
-    def test_hist_small_n_matches_exact(self, case):
-        # With n <= 12 distinct values per feature, quantile bin edges are
-        # the exact midpoints, so hist must induce the same partitions.
-        # Mathematically tied splits may resolve to a different feature
-        # (the two engines accumulate G in different orders), so compare
-        # the partition geometry and predictions, not feature ids.
-        X, y = _small_cases()[case]
-        exact = RegressionTree(max_depth=3, tree_method="exact").fit(X, y)
-        hist = RegressionTree(max_depth=3, tree_method="hist", max_bin=64).fit(X, y)
-        fe, fh = exact.ensure_flat(), hist.ensure_flat()
-        assert fe.n_nodes == fh.n_nodes
-        assert fe.depth == fh.depth
-        assert sorted(fe.n_samples.tolist()) == sorted(fh.n_samples.tolist())
-        assert np.allclose(exact.predict(X), hist.predict(X), rtol=1e-9, atol=1e-12)
-
     def test_fractional_min_child_weight(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(10, 3))
@@ -251,10 +234,10 @@ class TestKernelParity:
                 assert np.array_equal(getattr(fa, field), getattr(fb, field)), field
 
     def test_kernel_ensemble_matches_lazy_assembly(self):
-        a, _, X = self._pair(n_estimators=40, max_depth=3)
-        from repro.ml.forest import Forest
-
-        lazy = Forest.from_ensembles([(a.trees_, 0)])
+        # The forest built from the kernel's node arrays is the forest
+        # built from the numpy engine's per-round trees.
+        a, b, _ = self._pair(n_estimators=40, max_depth=3)
+        lazy = b._flat_ensemble()
         fast = a._flat_ensemble()
         assert np.array_equal(lazy.feature, fast.feature)
         assert np.array_equal(lazy.threshold, fast.threshold)
@@ -264,33 +247,6 @@ class TestKernelParity:
 
 
 class TestSerializationCompat:
-    def test_levelwise_tree_loads_via_legacy_nested_format(self):
-        # A level-wise-fitted tree exported through the legacy nested
-        # ``root`` schema must load into the same predictor.
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(30, 4))
-        y = np.sin(X[:, 0]) + rng.normal(scale=0.1, size=30)
-        tree = RegressionTree(max_depth=3).fit(X, y)
-
-        def nest(node):
-            d = {"value": node.value, "n_samples": node.n_samples}
-            if not node.is_leaf:
-                d["feature"] = node.feature
-                d["threshold"] = node.threshold
-                d["left"] = nest(node.left)
-                d["right"] = nest(node.right)
-            return d
-
-        legacy = {
-            "kind": "tree",
-            "n_features": tree.n_features_,
-            "max_depth": tree.max_depth,
-            "reg_lambda": tree.reg_lambda,
-            "root": nest(tree.root_),
-        }
-        clone = tree_from_dict(legacy)
-        assert np.allclose(tree.predict(X), clone.predict(X), rtol=0, atol=1e-12)
-
     def test_gbm_round_trip_after_kernel_or_numpy_fit(self):
         rng = np.random.default_rng(9)
         X = rng.uniform(size=(15, 6))
@@ -298,49 +254,6 @@ class TestSerializationCompat:
         model = GradientBoostingRegressor(n_estimators=25, max_depth=3).fit(X, y)
         clone = gbm_from_dict(gbm_to_dict(model))
         assert np.array_equal(model.predict(X), clone.predict(X))
-
-    def test_hist_dtype_round_trips_only_when_nondefault(self):
-        rng = np.random.default_rng(10)
-        X = rng.uniform(size=(40, 4))
-        y = rng.normal(size=40)
-        m64 = GradientBoostingRegressor(n_estimators=5, tree_method="hist").fit(X, y)
-        assert "hist_dtype" not in gbm_to_dict(m64)["params"]  # wire unchanged
-        m32 = GradientBoostingRegressor(
-            n_estimators=5, tree_method="hist", hist_dtype="float32"
-        ).fit(X, y)
-        state = gbm_to_dict(m32)
-        assert state["params"]["hist_dtype"] == "float32"
-        clone = gbm_from_dict(state)
-        assert clone.hist_dtype == "float32"
-        assert np.array_equal(m32.predict(X), clone.predict(X))
-
-
-class TestHistFloat32:
-    def test_hist32_close_to_hist64(self):
-        rng = np.random.default_rng(2)
-        X = rng.uniform(size=(300, 6))
-        y = 10 * np.sin(np.pi * X[:, 0] * X[:, 1]) + 5 * X[:, 2]
-        kw = dict(n_estimators=60, max_depth=4, tree_method="hist", max_bin=64)
-        m64 = GradientBoostingRegressor(**kw).fit(X, y)
-        m32 = GradientBoostingRegressor(hist_dtype="float32", **kw).fit(X, y)
-        r64 = float(np.sqrt(np.mean((m64.predict(X) - y) ** 2)))
-        r32 = float(np.sqrt(np.mean((m32.predict(X) - y) ** 2)))
-        assert r32 < 1.5 * r64 + 1e-9
-
-    def test_hist32_deterministic(self):
-        rng = np.random.default_rng(4)
-        X = rng.uniform(size=(80, 5))
-        y = rng.normal(size=80)
-        kw = dict(n_estimators=10, tree_method="hist", hist_dtype="float32")
-        a = GradientBoostingRegressor(**kw).fit(X, y)
-        b = GradientBoostingRegressor(**kw).fit(X, y)
-        assert np.array_equal(a.predict(X), b.predict(X))
-
-    def test_rejects_bad_dtype(self):
-        with pytest.raises(ValueError):
-            GradientBoostingRegressor(hist_dtype="float16")
-        with pytest.raises(ValueError):
-            RegressionTree(hist_dtype="half")
 
 
 class TestNoPerNodeSorts:

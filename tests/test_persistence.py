@@ -59,9 +59,7 @@ class TestTreeRoundTrip:
 class TestGbmRoundTrip:
     def test_predictions_identical(self):
         X, y = _data()
-        model = GradientBoostingRegressor(
-            n_estimators=30, colsample_bytree=0.7, subsample=0.8
-        ).fit(X, y)
+        model = GradientBoostingRegressor(n_estimators=30).fit(X, y)
         clone = gbm_from_dict(gbm_to_dict(model))
         assert np.array_equal(model.predict(X), clone.predict(X))
 
@@ -73,6 +71,27 @@ class TestGbmRoundTrip:
         text = json.dumps(gbm_to_dict(model))
         clone = gbm_from_dict(json.loads(text))
         assert np.allclose(model.predict(X), clone.predict(X))
+
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda s: s["params"].update(subsample=0.8),
+            lambda s: s["params"].update(colsample_bytree=0.5),
+            lambda s: s["params"].update(tree_method="hist"),
+            lambda s: s["params"].update(max_bin=64),
+            lambda s: s["params"].update(hist_dtype="float32"),
+            lambda s: s["trees"][0].update(columns=[0]),
+            lambda s: s["trees"][0]["tree"].pop("nodes"),
+        ],
+        ids=["subsample", "colsample", "hist", "max_bin", "hist_dtype", "columns", "nested"],
+    )
+    def test_deleted_options_rejected(self, edit):
+        X, y = _data(n=20)
+        state = gbm_to_dict(GradientBoostingRegressor(n_estimators=3).fit(X, y))
+        edit(state)
+        with pytest.raises(ValueError):
+            gbm_from_dict(state)
 
 
 class TestAutoPowerRoundTrip:
