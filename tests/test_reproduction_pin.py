@@ -6,7 +6,8 @@ The paper's headline runs, fitted on C1+C15 (Fig. 4) and C1+C8+C15
 * the sha256 of every serialized GBM sub-state, in model order.  The
   GBMs' features and labels come straight from flow outputs and their
   fit uses no BLAS, so these bytes are the same on every CPU, with or
-  without the compiled kernel;
+  without the compiled kernel.  The two GBM-only baselines, AutoPower−
+  and McPAT-Calib+Component fitted on C1+C15, are pinned the same way;
 * the held-out MAPE and R² over every (configuration, workload) pair
   outside the training set, to 1e-9 relative (the ridge sub-models use
   LAPACK, whose last bits may differ between builds).
@@ -26,6 +27,8 @@ import pytest
 
 from repro.arch.config import BOOM_CONFIGS, config_by_name
 from repro.arch.events import EventBatch
+from repro.baselines.autopower_minus import AutoPowerMinus
+from repro.baselines.mcpat_calib_component import McPatCalibComponent
 from repro.core.autopower import AutoPower
 from repro.core.persistence import autopower_to_state
 from repro.ml.metrics import mape, r2_score
@@ -43,6 +46,18 @@ PINS = {
     },
 }
 
+# (GBM count, sha256 of the GBM sub-states) of each baseline on C1+C15.
+BASELINE_PINS = {
+    AutoPowerMinus: (
+        88,  # one per component x power group
+        "07b4a04f2d3a2795e333caad3f1d4958de16851ed6dddb17e9b60248e757c4f6",
+    ),
+    McPatCalibComponent: (
+        22,  # one per component
+        "e82dc272324e769628ad3866fc04bbcb132ba06a436735135720349e3561c947",
+    ),
+}
+
 
 def _gbm_states(state):
     """Every ``kind == "gbm"`` dict of a model state, in state order."""
@@ -57,8 +72,8 @@ def _gbm_states(state):
             yield from _gbm_states(value)
 
 
-def _gbm_digest(model: AutoPower) -> tuple[int, str]:
-    states = list(_gbm_states(autopower_to_state(model)))
+def _gbm_digest(state: dict) -> tuple[int, str]:
+    states = list(_gbm_states(state))
     text = json.dumps(states)
     return len(states), hashlib.sha256(text.encode()).hexdigest()
 
@@ -86,8 +101,8 @@ def models(flow, workloads, autopower2):
 
 @pytest.mark.parametrize("train", list(PINS), ids="+".join)
 def test_gbm_sub_states_pinned(models, train):
-    count, digest = _gbm_digest(models[train])
-    assert count == 94  # 3 per component x 10 components + 2 per SRAM position
+    count, digest = _gbm_digest(autopower_to_state(models[train]))
+    assert count == 94  # 3 x 22 components + 2 x 14 SRAM positions
     assert digest == PINS[train]["gbm_sha256"]
 
 
@@ -97,3 +112,9 @@ def test_heldout_accuracy_pinned(models, flow, workloads, train):
     got_mape, got_r2 = _heldout(models[train], flow, train, workloads)
     assert got_mape == pytest.approx(PINS[train]["mape"], rel=1e-9)
     assert got_r2 == pytest.approx(PINS[train]["r2"], rel=1e-9)
+
+
+@pytest.mark.parametrize("cls", list(BASELINE_PINS), ids=lambda c: c.__name__)
+def test_baseline_gbm_sub_states_pinned(flow, train_configs, workloads, cls):
+    model = cls().fit(flow, train_configs, workloads)
+    assert _gbm_digest(model.to_state()) == BASELINE_PINS[cls]
