@@ -72,14 +72,16 @@ def test_bulk_fit_exact(benchmark):
     assert model.n_trees_ == 40
 
 
-# -- fit scaling: the AutoPower fan-out through the executor ----------------
+# -- fit scaling: independent GBM fits through the executor ---------------
 #
-# AutoPower.fit decomposes into ~90 independent few-shot GBM fits; this
-# models that fan-out on synthetic payloads so the serial/parallel ratio is
-# *measured* per run rather than assumed.  Run serially and with
-# ``--jobs 2`` (CI does both); on a single-core runner the parallel case
-# measures the dispatch overhead rather than a speedup, which is exactly
-# the number the perf log needs for the fallback-to-serial rule.
+# Model fits run in the calling thread (one batched ``fit_many`` call per
+# power group), so this measures what the executor itself costs on small
+# independent CPU-bound tasks (few-shot GBM fits), so the serial/parallel
+# ratio is *measured* per run rather than assumed.  Run
+# serially and with ``--jobs 2`` (CI does both); on a single-core runner
+# the parallel case measures the dispatch overhead rather than a speedup,
+# which is exactly the number the perf log needs for the fallback-to-serial
+# rule.
 
 
 def _fanout_payloads(n_tasks: int = 12):
@@ -103,7 +105,7 @@ def _fit_fanout_task(payload: dict) -> GradientBoostingRegressor:
 
 @pytest.mark.perf_smoke
 def test_fit_scaling_serial(benchmark):
-    """Reference: the sub-model fan-out through the serial executor."""
+    """Reference: the fit tasks through the serial executor."""
     payloads = _fanout_payloads()
     executor = SerialExecutor()
 
@@ -117,7 +119,7 @@ def test_fit_scaling_jobs(benchmark, bench_jobs):
     """The same fan-out at ``--jobs N`` (thread backend, n_jobs=1 = serial).
 
     Fitted models must be numerically identical to the serial reference —
-    the executor contract the equivalence suite checks on the real model.
+    the executor's determinism contract.
     """
     payloads = _fanout_payloads()
     executor = get_executor(bench_jobs, "thread" if bench_jobs > 1 else "serial")

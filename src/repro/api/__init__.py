@@ -15,7 +15,7 @@ events alone.  This package is that hand-off, method-agnostically:
   the CLI carry no per-method branches,
 * **versioned persistence** — :func:`save_model` / :func:`load_model`
   wrap any method's state in a ``{format_version: 2, method, library,
-  state}`` envelope (legacy v1 AutoPower files still load),
+  state}`` envelope,
 * the **prediction service** — :class:`PredictionService` coalesces
   :class:`PredictRequest` streams into fused batched model calls.
 

@@ -11,10 +11,8 @@ registered method's :meth:`to_state` payload in a small envelope::
 so one ``load_model`` call reconstructs whichever method wrote the file.
 The envelope carries the technology library by *name* only — the library
 is part of the flow, not of the learned state — and loading validates it
-against the caller's library for the methods that depend on one.
-
-Legacy format-v1 files (AutoPower-only, state keys at the top level)
-still load; saving always writes v2.
+against the caller's library for the methods that depend on one.  Any
+other ``format_version`` is rejected.
 """
 
 from __future__ import annotations
@@ -61,25 +59,18 @@ def save_model(model: Any, path: str | Path) -> None:
 def model_from_envelope(envelope: Any, library: Any = None) -> Any:
     """Reconstruct a fitted model from an envelope dict.
 
-    The in-memory half of :func:`load_model`: accepts format-v2
-    envelopes and legacy format-v1 AutoPower payloads.  ``library`` is
-    resolved by name for methods that carry one.
+    The in-memory half of :func:`load_model`.  ``library`` is resolved by
+    name for methods that carry one.
     """
     if not isinstance(envelope, dict):
         raise ValueError(
             f"model envelope must be a JSON object, got {type(envelope).__name__}"
         )
     version = envelope.get("format_version")
-    if version == 1:
-        # v1 predates the envelope: AutoPower state at the top level.
-        method, library_name, state = "autopower", envelope["library"], envelope
-    elif version == FORMAT_VERSION:
-        method = envelope["method"]
-        library_name = envelope.get("library")
-        state = envelope["state"]
-    else:
+    if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {version!r}")
-    spec = get_method(method)
+    spec = get_method(envelope["method"])
+    library_name = envelope.get("library")
     if library_name is not None:
         if library is None:
             from repro.library.stdcell import default_library
@@ -90,14 +81,13 @@ def model_from_envelope(envelope: Any, library: Any = None) -> Any:
                 f"model was trained against library {library_name!r}, "
                 f"got {library.name!r}"
             )
-    return spec.cls.from_state(state, library=library)
+    return spec.cls.from_state(envelope["state"], library=library)
 
 
 def load_model(path: str | Path, library: Any = None) -> Any:
     """Load a fitted model saved by :func:`save_model`.
 
-    Accepts both format-v2 envelopes and legacy format-v1 AutoPower
-    files.  ``library`` is resolved by name for methods that carry one
-    (pass it explicitly when using a non-default technology library).
+    ``library`` is resolved by name for methods that carry one (pass it
+    explicitly when using a non-default technology library).
     """
     return model_from_envelope(json.loads(Path(path).read_text()), library=library)

@@ -147,8 +147,9 @@ def fit(
     ``flow`` defaults to a fresh :class:`repro.vlsi.flow.VlsiFlow`;
     ``train_configs``/``workloads`` accept instances or names and default
     to the paper's 2-config split over all eight workloads.  ``n_jobs``
-    parallelizes the sub-model fits of the methods that decompose into
-    independent tasks; the others ignore it.
+    sets the workers of the training flow runs of the methods that take
+    it (AutoPower, AutoPower−); the others ignore it.  Sub-models always
+    fit in the calling thread.
     """
     from repro.arch.config import config_by_name
     from repro.arch.workloads import WORKLOADS, workload_by_name

@@ -24,21 +24,12 @@ from repro.core.features import (
     program_features,
     program_features_matrix,
 )
-from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.gbm import GradientBoostingRegressor, fit_many
 from repro.ml.serialize import gbm_from_dict, gbm_to_dict
-from repro.parallel import get_executor
 from repro.power.report import POWER_GROUPS
 
 __all__ = ["AutoPowerMinus"]
 
-
-def _fit_group_gbm(payload: dict) -> GradientBoostingRegressor:
-    """Fit one (component, group) GBM — the picklable executor task."""
-    model = GradientBoostingRegressor(
-        random_state=payload["random_state"], **payload["gbm_params"]
-    )
-    model.fit(payload["x"], payload["y"])
-    return model
 
 _DEFAULT_GBM = {
     "n_estimators": 200,
@@ -49,7 +40,12 @@ _DEFAULT_GBM = {
 
 
 class AutoPowerMinus:
-    """Per-group direct ML power model (no within-group decoupling)."""
+    """Per-group direct ML power model (no within-group decoupling).
+
+    ``n_jobs`` sets the workers of the ground-truth flow runs of ``fit``;
+    the 88 GBMs fit in the calling thread, in one
+    :func:`~repro.ml.gbm.fit_many` call.
+    """
 
     def __init__(
         self,
@@ -57,13 +53,11 @@ class AutoPowerMinus:
         gbm_params: dict | None = None,
         random_state: int = 0,
         n_jobs: int | None = None,
-        executor_backend: str | None = None,
     ) -> None:
         self.use_program_features = use_program_features
         self.gbm_params = dict(_DEFAULT_GBM if gbm_params is None else gbm_params)
         self.random_state = random_state
         self.n_jobs = n_jobs
-        self.executor_backend = executor_backend
         self._models: dict[tuple[str, str], GradientBoostingRegressor] = {}
 
     # ------------------------------------------------------------------
@@ -79,39 +73,17 @@ class AutoPowerMinus:
         return np.concatenate(parts)
 
     # ------------------------------------------------------------------
-    def fit(
-        self,
-        flow,
-        train_configs,
-        workloads,
-        n_jobs: int | None = None,
-        backend: str | None = None,
-    ) -> AutoPowerMinus:
-        executor = self._executor(n_jobs, backend)
+    def fit(self, flow, train_configs, workloads) -> AutoPowerMinus:
         results = flow.run_many(
-            list(train_configs), list(workloads), executor=executor
+            list(train_configs), list(workloads), n_jobs=self.n_jobs
         )
-        return self.fit_results(results, executor=executor)
+        return self.fit_results(results)
 
-    def _executor(self, n_jobs: int | None, backend: str | None):
-        return get_executor(
-            self.n_jobs if n_jobs is None else n_jobs,
-            self.executor_backend if backend is None else backend,
-        )
-
-    def fit_results(
-        self,
-        results: list,
-        n_jobs: int | None = None,
-        backend: str | None = None,
-        executor=None,
-    ) -> AutoPowerMinus:
+    def fit_results(self, results: list) -> AutoPowerMinus:
         if not results:
             raise ValueError("cannot fit on an empty result list")
-        if executor is None:
-            executor = self._executor(n_jobs, backend)
-        keys: list[tuple[str, str]] = []
-        payloads: list[dict] = []
+        models: dict[tuple[str, str], GradientBoostingRegressor] = {}
+        jobs = []
         for comp in COMPONENTS:
             x = np.stack(
                 [
@@ -123,17 +95,13 @@ class AutoPowerMinus:
                 y = np.array(
                     [r.power.component(comp.name).group(group) for r in results]
                 )
-                keys.append((comp.name, group))
-                payloads.append(
-                    {
-                        "gbm_params": self.gbm_params,
-                        "random_state": self.random_state,
-                        "x": x,
-                        "y": y,
-                    }
+                model = GradientBoostingRegressor(
+                    random_state=self.random_state, **self.gbm_params
                 )
-        models = executor.map(_fit_group_gbm, payloads)
-        self._models = dict(zip(keys, models))
+                models[(comp.name, group)] = model
+                jobs.append((model, x, y))
+        fit_many(jobs)
+        self._models = models
         return self
 
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.core.features import (
     event_features_batch,
     hardware_features,
 )
-from repro.ml.gbm import GradientBoostingRegressor
+from repro.ml.gbm import GradientBoostingRegressor, fit_many
 from repro.ml.serialize import gbm_from_dict, gbm_to_dict
 
 __all__ = ["McPatCalibComponent"]
@@ -71,16 +71,19 @@ class McPatCalibComponent:
     def fit_results(self, results: list) -> McPatCalibComponent:
         if not results:
             raise ValueError("cannot fit on an empty result list")
+        models: dict[str, GradientBoostingRegressor] = {}
+        jobs = []
         for comp in COMPONENTS:
             x = np.stack(
                 [self._features(r.config, r.events, comp.name) for r in results]
             )
             y = np.array([r.power.component(comp.name).total for r in results])
-            model = GradientBoostingRegressor(
+            models[comp.name] = GradientBoostingRegressor(
                 random_state=self.random_state, **self.gbm_params
             )
-            model.fit(x, y)
-            self._models[comp.name] = model
+            jobs.append((models[comp.name], x, y))
+        fit_many(jobs)
+        self._models = models
         return self
 
     def predict_component(

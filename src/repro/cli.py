@@ -120,7 +120,7 @@ def _cmd_fit(argv: list[str]) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="parallel workers for flow runs and sub-model fits",
+        help="parallel workers for the training flow runs",
     )
     args = parser.parse_args(argv)
     try:
@@ -884,7 +884,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="N",
         help=(
-            "parallel workers for flow runs and sub-model fits "
+            "parallel workers for flow runs "
             "(0 or negative = all cores; overrides REPRO_JOBS; "
             "results are identical regardless of worker count)"
         ),

@@ -24,7 +24,6 @@ from repro.core.logic import LogicPowerModel
 from repro.core.plan import InferencePlan
 from repro.core.sram import SramPowerModel
 from repro.library.stdcell import TechLibrary, default_library
-from repro.parallel import Executor, get_executor
 from repro.power.report import ComponentPower, PowerReport
 from repro.vlsi.macro_mapping import MacroMapper
 
@@ -80,12 +79,12 @@ class AutoPower:
         activity model (paper default: on).
     ridge_alpha / gbm_params / random_state:
         Shared hyper-parameters for the linear and boosted sub-models.
-    n_jobs / executor_backend:
-        Default parallelism of ``fit``: worker count (``None`` defers to
-        the CLI ``--jobs`` / ``REPRO_JOBS`` setting, ``<= 0`` means all
-        cores) and backend (``auto``/``serial``/``thread``/``process``).
-        The ~90 per-component sub-model fits are independent; results are
-        numerically identical on every backend.
+    n_jobs:
+        Workers for the ground-truth flow runs of ``fit`` (``None`` defers
+        to the CLI ``--jobs`` / ``REPRO_JOBS`` setting, ``<= 0`` means all
+        cores); results are identical for every worker count.  The
+        sub-models always fit in the calling thread, one
+        :func:`~repro.ml.gbm.fit_many` call per power group.
     """
 
     def __init__(
@@ -97,11 +96,9 @@ class AutoPower:
         gbm_params: dict | None = None,
         random_state: int = 0,
         n_jobs: int | None = None,
-        executor_backend: str | None = None,
     ) -> None:
         self.library = library if library is not None else default_library()
         self.n_jobs = n_jobs
-        self.executor_backend = executor_backend
         self.mapper = mapper if mapper is not None else MacroMapper(self.library.sram)
         self.clock_model = ClockPowerModel(
             self.library, ridge_alpha, gbm_params, random_state
@@ -131,51 +128,24 @@ class AutoPower:
         self._plan = None
 
     # ------------------------------------------------------------------
-    def _executor(
-        self, n_jobs: int | None = None, backend: str | None = None
-    ) -> Executor:
-        """The fit executor for an (optional) per-call override."""
-        return get_executor(
-            self.n_jobs if n_jobs is None else n_jobs,
-            self.executor_backend if backend is None else backend,
-        )
-
-    def fit(
-        self,
-        flow,
-        train_configs,
-        workloads,
-        n_jobs: int | None = None,
-        backend: str | None = None,
-    ) -> AutoPower:
+    def fit(self, flow, train_configs, workloads) -> AutoPower:
         """Train all sub-models from the flow outputs of known configs.
 
         ``flow`` is a :class:`repro.vlsi.flow.VlsiFlow`; it is only ever
-        invoked on the *training* configurations.  ``n_jobs``/``backend``
-        override the instance-level parallelism for both the ground-truth
-        flow runs and the sub-model fits.
+        invoked on the *training* configurations, over ``n_jobs`` workers.
         """
-        executor = self._executor(n_jobs, backend)
         results = flow.run_many(
-            list(train_configs), list(workloads), executor=executor
+            list(train_configs), list(workloads), n_jobs=self.n_jobs
         )
-        return self.fit_results(results, executor=executor)
+        return self.fit_results(results)
 
-    def fit_results(
-        self,
-        results: list,
-        n_jobs: int | None = None,
-        backend: str | None = None,
-        executor: Executor | None = None,
-    ) -> AutoPower:
+    def fit_results(self, results: list) -> AutoPower:
         """Train from precomputed flow results (train configs only)."""
         if not results:
             raise ValueError("cannot fit on an empty result list")
-        if executor is None:
-            executor = self._executor(n_jobs, backend)
-        self.clock_model.fit(results, executor=executor)
-        self.sram_model.fit(results, executor=executor)
-        self.logic_model.fit(results, executor=executor)
+        self.clock_model.fit(results)
+        self.sram_model.fit(results)
+        self.logic_model.fit(results)
         seen: list[str] = []
         for res in results:
             if res.config.name not in seen:

@@ -36,7 +36,6 @@ from repro.core.features import (
 from repro.library.stdcell import TechLibrary
 from repro.ml.gbm import GradientBoostingRegressor, fit_many
 from repro.ml.linear import RidgeRegression
-from repro.parallel import Executor, SerialExecutor
 
 __all__ = ["ClockPowerModel"]
 
@@ -57,29 +56,6 @@ class _ComponentClockModel:
         self.f_alpha = GradientBoostingRegressor(
             random_state=random_state, **gbm_params
         )
-
-
-def _fit_clock_components(payloads: list[dict]) -> list[_ComponentClockModel]:
-    """Fit the three clock sub-models of each component payload.
-
-    A module-level function of plain arrays and hyper-parameters — the
-    picklable task the executor fans out, one contiguous chunk of
-    components per worker; all of a chunk's GBMs fit in one
-    :func:`~repro.ml.gbm.fit_many` call.  Payloads carry their own
-    ``random_state``, so the result is backend-independent.
-    """
-    models = []
-    for payload in payloads:
-        model = _ComponentClockModel(
-            payload["ridge_alpha"], payload["gbm_params"], payload["random_state"]
-        )
-        model.f_reg.fit(payload["h"], payload["r_labels"])
-        model.f_gate.fit(payload["h"], payload["g_labels"])
-        models.append(model)
-    fit_many(
-        [(m.f_alpha, p["x"], p["a_labels"]) for m, p in zip(models, payloads)]
-    )
-    return models
 
 
 class ClockPowerModel:
@@ -110,39 +86,48 @@ class ClockPowerModel:
         self._fitted = False
 
     # ------------------------------------------------------------------
-    def fit(
-        self, results: list, executor: Executor | None = None
-    ) -> ClockPowerModel:
+    def fit(self, results: list) -> ClockPowerModel:
         """Train from flow results of the known configurations.
 
         ``results`` is a list of :class:`repro.vlsi.flow.FlowResult`
         covering (train configs) x (workloads).  Register-count and
         gating-rate labels come from the netlists (one sample per config);
         effective-active-rate labels come from inverting Eq. 7 on golden
-        clock power (one sample per config x workload).  The per-component
-        fits are independent and run through ``executor`` (serial by
-        default) with numerically identical results on every backend.
+        clock power (one sample per config x workload).  The ridges fit
+        per component; every component's alpha' GBM fits in one
+        :func:`~repro.ml.gbm.fit_many` call.
         """
         if not results:
             raise ValueError("cannot fit on an empty result list")
-        if executor is None:
-            executor = SerialExecutor()
         groups = rows_by_config(results)
-        payloads = [
-            self._component_payload(component.name, results, groups)
+        data = [
+            self._component_data(component.name, results, groups)
             for component in COMPONENTS
         ]
-        models = executor.map_chunks(_fit_clock_components, payloads)
-        self._models = {
-            component.name: model for component, model in zip(COMPONENTS, models)
-        }
+        models = {}
+        for component, (h, r_labels, g_labels, _, _) in zip(COMPONENTS, data):
+            model = _ComponentClockModel(
+                self.ridge_alpha, self.gbm_params, self.random_state
+            )
+            model.f_reg.fit(h, r_labels)
+            model.f_gate.fit(h, g_labels)
+            models[component.name] = model
+        fit_many(
+            [
+                (models[component.name].f_alpha, x, a_labels)
+                for component, (_, _, _, x, a_labels) in zip(COMPONENTS, data)
+            ]
+        )
+        self._models = models
         self._fitted = True
         return self
 
-    def _component_payload(
+    def _component_data(
         self, name: str, results: list, groups: list[ConfigRows]
-    ) -> dict:
-        """Feature matrices and labels of one component's fit task."""
+    ) -> tuple[np.ndarray, ...]:
+        """``(h, r_labels, g_labels, x, a_labels)`` of one component: the
+        ridges' hardware rows and labels, and the alpha' GBM's features
+        and labels."""
         config_results = [results[g.indices[0]] for g in groups]
         p_reg = self.library.p_reg_mw
 
@@ -171,16 +156,13 @@ class ClockPowerModel:
             a_labels.append(max(alpha_eff, 0.0))
         if not keep:
             raise RuntimeError(f"no effective-active-rate samples for {name}")
-        return {
-            "ridge_alpha": self.ridge_alpha,
-            "gbm_params": self.gbm_params,
-            "random_state": self.random_state,
-            "h": np.stack(h_rows),
-            "r_labels": np.array(r_labels),
-            "g_labels": np.array(g_labels),
-            "x": feature_rows(groups, name, include_raw=False)[keep],
-            "a_labels": np.array(a_labels),
-        }
+        return (
+            np.stack(h_rows),
+            np.array(r_labels),
+            np.array(g_labels),
+            feature_rows(groups, name, include_raw=False)[keep],
+            np.array(a_labels),
+        )
 
     # ------------------------------------------------------------------
     def _require_fit(self) -> None:

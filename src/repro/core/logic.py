@@ -28,7 +28,6 @@ from repro.core.features import (
 )
 from repro.ml.gbm import GradientBoostingRegressor, fit_many
 from repro.ml.linear import RidgeRegression
-from repro.parallel import Executor, SerialExecutor
 
 __all__ = ["CombPowerModel", "LogicPowerModel", "RegisterPowerModel"]
 
@@ -51,30 +50,37 @@ def _he_row(config: BoomConfig, events: EventParams, component: str) -> np.ndarr
     )
 
 
-def _fit_ridge_gbm_pairs(
-    payloads: list[dict],
-) -> list[tuple[RidgeRegression, GradientBoostingRegressor]]:
-    """Fit each component's (ridge hardware model, activity GBM) pair.
+def _fit_pairs(
+    model, results: list
+) -> tuple[dict[str, RidgeRegression], dict[str, GradientBoostingRegressor]]:
+    """One (hardware ridge, activity GBM) pair per component.
 
-    Shared by the register and combinational fits — both decompose into a
-    hardware-only ridge and an activity GBM per component.  Module-level
-    and array-only, so the executor can run it in worker processes, one
-    contiguous chunk of components per worker; a chunk's GBMs fit in one
-    :func:`~repro.ml.gbm.fit_many` call.  Payloads carry their own
-    ``random_state``.
+    Shared by the register and combinational fits, which both decompose
+    into a hardware-only ridge and an activity GBM per component.
+    ``model._component_data`` gives each component's ``(h, h_labels, x,
+    x_labels)``; the ridges fit one by one and the GBMs in one
+    :func:`~repro.ml.gbm.fit_many` call.
     """
-    pairs = []
-    for payload in payloads:
-        ridge = RidgeRegression(alpha=payload["ridge_alpha"], nonnegative=True)
-        ridge.fit(payload["h"], payload["h_labels"])
-        gbm = GradientBoostingRegressor(
-            random_state=payload["random_state"], **payload["gbm_params"]
+    if not results:
+        raise ValueError("cannot fit on an empty result list")
+    groups = rows_by_config(results)
+    data = [
+        model._component_data(component.name, results, groups)
+        for component in COMPONENTS
+    ]
+    ridges: dict[str, RidgeRegression] = {}
+    gbms: dict[str, GradientBoostingRegressor] = {}
+    jobs = []
+    for component, (h, h_labels, x, x_labels) in zip(COMPONENTS, data):
+        ridges[component.name] = RidgeRegression(
+            alpha=model.ridge_alpha, nonnegative=True
+        ).fit(h, h_labels)
+        gbms[component.name] = GradientBoostingRegressor(
+            random_state=model.random_state, **model.gbm_params
         )
-        pairs.append((ridge, gbm))
-    fit_many(
-        [(gbm, p["x"], p["x_labels"]) for (_, gbm), p in zip(pairs, payloads)]
-    )
-    return pairs
+        jobs.append((gbms[component.name], x, x_labels))
+    fit_many(jobs)
+    return ridges, gbms
 
 
 class RegisterPowerModel:
@@ -93,28 +99,14 @@ class RegisterPowerModel:
         self._f_act: dict[str, GradientBoostingRegressor] = {}
         self._fitted = False
 
-    def fit(
-        self, results: list, executor: Executor | None = None
-    ) -> RegisterPowerModel:
-        if not results:
-            raise ValueError("cannot fit on an empty result list")
-        if executor is None:
-            executor = SerialExecutor()
-        groups = rows_by_config(results)
-        payloads = [
-            self._component_payload(component.name, results, groups)
-            for component in COMPONENTS
-        ]
-        pairs = executor.map_chunks(_fit_ridge_gbm_pairs, payloads)
-        for component, (f_reg, f_act) in zip(COMPONENTS, pairs):
-            self._f_reg[component.name] = f_reg
-            self._f_act[component.name] = f_act
+    def fit(self, results: list) -> RegisterPowerModel:
+        self._f_reg, self._f_act = _fit_pairs(self, results)
         self._fitted = True
         return self
 
-    def _component_payload(
+    def _component_data(
         self, name: str, results: list, groups: list[ConfigRows]
-    ) -> dict:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         h_rows = [polynomial_hardware_features(g.config, name) for g in groups]
         r_labels = [
             float(results[g.indices[0]].netlist.component(name).registers)
@@ -128,15 +120,12 @@ class RegisterPowerModel:
             p_register = res.power.component(name).register
             keep.append(i)
             act_labels.append(p_register / registers)
-        return {
-            "ridge_alpha": self.ridge_alpha,
-            "gbm_params": self.gbm_params,
-            "random_state": self.random_state,
-            "h": np.stack(h_rows),
-            "h_labels": np.array(r_labels),
-            "x": feature_rows(groups, name, include_raw=False)[keep],
-            "x_labels": np.array(act_labels),
-        }
+        return (
+            np.stack(h_rows),
+            np.array(r_labels),
+            feature_rows(groups, name, include_raw=False)[keep],
+            np.array(act_labels),
+        )
 
     def predict_component(
         self, component: str, config: BoomConfig, events: EventParams
@@ -186,28 +175,14 @@ class CombPowerModel:
         self._f_var: dict[str, GradientBoostingRegressor] = {}
         self._fitted = False
 
-    def fit(
-        self, results: list, executor: Executor | None = None
-    ) -> CombPowerModel:
-        if not results:
-            raise ValueError("cannot fit on an empty result list")
-        if executor is None:
-            executor = SerialExecutor()
-        groups = rows_by_config(results)
-        payloads = [
-            self._component_payload(component.name, results, groups)
-            for component in COMPONENTS
-        ]
-        pairs = executor.map_chunks(_fit_ridge_gbm_pairs, payloads)
-        for component, (f_sta, f_var) in zip(COMPONENTS, pairs):
-            self._f_sta[component.name] = f_sta
-            self._f_var[component.name] = f_var
+    def fit(self, results: list) -> CombPowerModel:
+        self._f_sta, self._f_var = _fit_pairs(self, results)
         self._fitted = True
         return self
 
-    def _component_payload(
+    def _component_data(
         self, name: str, results: list, groups: list[ConfigRows]
-    ) -> dict:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         h_rows, sta_labels = [], []
         blocks, var_labels = [], []
         for g in groups:
@@ -222,15 +197,12 @@ class CombPowerModel:
                     feature_block_batch(g.config, g.events, name, include_raw=False)
                 )
                 var_labels.extend(p / stable for p in powers)
-        return {
-            "ridge_alpha": self.ridge_alpha,
-            "gbm_params": self.gbm_params,
-            "random_state": self.random_state,
-            "h": np.stack(h_rows),
-            "h_labels": np.array(sta_labels),
-            "x": np.vstack(blocks),
-            "x_labels": np.array(var_labels),
-        }
+        return (
+            np.stack(h_rows),
+            np.array(sta_labels),
+            np.vstack(blocks),
+            np.array(var_labels),
+        )
 
     def predict_component(
         self, component: str, config: BoomConfig, events: EventParams
@@ -277,11 +249,9 @@ class LogicPowerModel:
         self.comb_model = CombPowerModel(ridge_alpha, gbm_params, random_state)
         self._fitted = False
 
-    def fit(
-        self, results: list, executor: Executor | None = None
-    ) -> LogicPowerModel:
-        self.register_model.fit(results, executor=executor)
-        self.comb_model.fit(results, executor=executor)
+    def fit(self, results: list) -> LogicPowerModel:
+        self.register_model.fit(results)
+        self.comb_model.fit(results)
         self._fitted = True
         return self
 

@@ -33,7 +33,6 @@ from repro.core.features import feature_block_batch, feature_rows, rows_by_confi
 from repro.core.scaling import FittedLaw, ScalingPatternDetector
 from repro.library.stdcell import TechLibrary
 from repro.ml.gbm import GradientBoostingRegressor, fit_many
-from repro.parallel import Executor, SerialExecutor
 from repro.vlsi.macro_mapping import MacroMapper
 
 __all__ = ["PredictedBlock", "SramPowerModel"]
@@ -73,38 +72,6 @@ class _PositionModel:
         )
 
 
-def _fit_sram_positions(payloads: list[dict]) -> list[_PositionModel]:
-    """Fit each position's scaling laws and activity GBMs from a payload.
-
-    Module-level and built from plain arrays only, so the executor can
-    hand it to worker processes, one contiguous chunk of positions per
-    worker; a chunk's read and write GBMs fit in one
-    :func:`~repro.ml.gbm.fit_many` call (positions of one component share
-    their feature matrix, and so its presort).  Payloads carry their own
-    seeds.
-    """
-    models = []
-    jobs = []
-    for payload in payloads:
-        model = _PositionModel(
-            payload["component"], payload["gbm_params"], payload["random_state"]
-        )
-        detector = ScalingPatternDetector(
-            max_combination_size=payload["max_combination_size"],
-            tolerance=payload["tolerance"],
-        )
-        params = payload["params"]
-        param_values = payload["param_values"]
-        model.capacity_law = detector.fit(payload["capacities"], param_values, params)
-        model.throughput_law = detector.fit(payload["throughputs"], param_values, params)
-        model.width_law = detector.fit(payload["widths"], param_values, params)
-        jobs.append((model.f_read, payload["x"], payload["read_labels"]))
-        jobs.append((model.f_write, payload["x"], payload["write_labels"]))
-        models.append(model)
-    fit_many(jobs)
-    return models
-
-
 class SramPowerModel:
     """Hierarchy-based SRAM power with scaling-pattern hardware modeling.
 
@@ -140,19 +107,16 @@ class SramPowerModel:
         self._fitted = False
 
     # ------------------------------------------------------------------
-    def fit(
-        self, results: list, executor: Executor | None = None
-    ) -> SramPowerModel:
+    def fit(self, results: list) -> SramPowerModel:
         """Train from flow results of the known configurations.
 
-        The per-position fits (scaling laws + read/write GBMs) are
-        independent pure tasks and run through ``executor`` (serial by
-        default) with numerically identical results on every backend.
+        Each position fits its scaling laws; every position's read and
+        write GBMs then fit in one :func:`~repro.ml.gbm.fit_many` call
+        (positions of one component share their feature matrix, and so
+        its presort).
         """
         if not results:
             raise ValueError("cannot fit on an empty result list")
-        if executor is None:
-            executor = SerialExecutor()
         groups = rows_by_config(results)
         config_results = [results[g.indices[0]] for g in groups]
 
@@ -166,38 +130,37 @@ class SramPowerModel:
             name: tuple(pos) for name, pos in comp_positions.items()
         }
 
-        position_names: list[str] = []
-        payloads: list[dict] = []
+        positions: dict[str, _PositionModel] = {}
+        jobs = []
         for comp_name, pos_names in self._component_positions.items():
             params = component_by_name(comp_name).hardware_parameters
             # Every position of a component reads the same feature rows.
             x = feature_rows(groups, comp_name, program=self.use_program_features)
             for pos_name in pos_names:
-                position_names.append(pos_name)
-                payloads.append(
-                    self._position_payload(
-                        comp_name, pos_name, params, config_results, results, x
-                    )
+                model, read_labels, write_labels = self._fit_position(
+                    comp_name, pos_name, params, config_results, results
                 )
-        models = executor.map_chunks(_fit_sram_positions, payloads)
-        self._positions = dict(zip(position_names, models))
+                positions[pos_name] = model
+                jobs.append((model.f_read, x, read_labels))
+                jobs.append((model.f_write, x, write_labels))
+        fit_many(jobs)
+        self._positions = positions
 
         self.c_constant_mw = self._calibrate_constant(config_results[0])
         self._fitted = True
         return self
 
     # ------------------------------------------------------------------
-    def _position_payload(
+    def _fit_position(
         self,
         comp_name: str,
         pos_name: str,
         params: tuple[str, ...],
         config_results: list,
         results: list,
-        x: np.ndarray,
-    ) -> dict:
-        """Arrays and hyper-parameters of one position's fit task; ``x``
-        holds the component's feature row of every result."""
+    ) -> tuple[_PositionModel, np.ndarray, np.ndarray]:
+        """One position's fitted scaling laws, plus the read and write
+        labels its GBMs still have to fit on."""
         # Hardware side: block shapes per training configuration.
         capacities, throughputs, widths = [], [], []
         param_values: dict[str, list[float]] = {p: [] for p in params}
@@ -208,27 +171,17 @@ class SramPowerModel:
             widths.append(block.width)
             for p in params:
                 param_values[p].append(float(res.config[p]))
+        model = _PositionModel(comp_name, self.gbm_params, self.random_state)
+        model.capacity_law = self.detector.fit(capacities, param_values, params)
+        model.throughput_law = self.detector.fit(throughputs, param_values, params)
+        model.width_law = self.detector.fit(widths, param_values, params)
         # Activity side: golden block frequencies per (config, workload).
         read_labels, write_labels = [], []
         for res in results:
             act = res.activity.component(comp_name).positions[pos_name]
             read_labels.append(act.read_per_block_cycle)
             write_labels.append(act.write_per_block_cycle)
-        return {
-            "component": comp_name,
-            "gbm_params": self.gbm_params,
-            "random_state": self.random_state,
-            "max_combination_size": self.detector.max_combination_size,
-            "tolerance": self.detector.tolerance,
-            "params": params,
-            "param_values": param_values,
-            "capacities": capacities,
-            "throughputs": throughputs,
-            "widths": widths,
-            "x": x,
-            "read_labels": np.array(read_labels),
-            "write_labels": np.array(write_labels),
-        }
+        return model, np.array(read_labels), np.array(write_labels)
 
     def _calibrate_constant(self, result) -> float:
         """Estimate per-macro constant C from golden block power (Eq. 10).

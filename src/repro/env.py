@@ -78,7 +78,7 @@ REPRO_JOBS = _declare(
     "REPRO_JOBS",
     "str",
     None,
-    "Default parallelism for flow runs and sub-model fits: a worker "
+    "Default parallelism for flow runs: a worker "
     "count (`4`), a backend (`thread`), or a `backend:count` pair "
     "(`thread:4`).  `0` or negative means all cores.  Overridden by "
     "`--jobs` and explicit `n_jobs` arguments; results are identical "

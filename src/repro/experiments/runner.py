@@ -122,9 +122,9 @@ def fit_method(
     """Construct and fit one method through the :mod:`repro.api` registry.
 
     ``name`` is a registry name or alias (the historical display names in
-    ``METHOD_NAMES`` resolve).  ``n_jobs`` parallelizes the sub-model fits
-    of the methods that decompose into independent tasks; the monolithic
-    baselines ignore it.  Extra keyword arguments reach the method's
+    ``METHOD_NAMES`` resolve).  ``n_jobs`` sets the workers of the
+    training flow runs of the methods that take it; the others ignore
+    it.  Extra keyword arguments reach the method's
     constructor (e.g. ``use_program_features=False``).
     """
     return api.fit(
@@ -148,8 +148,8 @@ def evaluate_methods(
 
     Returns per-method MAPE / R² / Pearson R over (test configs x
     workloads), plus the raw scatter points for figure regeneration.
-    ``n_jobs`` parallelizes ground-truth generation and the decomposed
-    sub-model fits; the numbers are backend-independent.
+    ``n_jobs`` parallelizes the ground-truth flow runs; the numbers are
+    backend-independent.
     """
     if flow is None:
         flow = VlsiFlow()

@@ -1,4 +1,4 @@
-"""Deterministic parallel execution for fits, flows and sweeps."""
+"""Deterministic parallel execution for flow runs and sweeps."""
 
 from repro.parallel.executor import (
     BACKENDS,

@@ -1,21 +1,23 @@
 """Pluggable execution backends for the embarrassingly parallel fan-outs.
 
-AutoPower's training decomposes into ~90 independent sub-model fits (three
-power groups x ~30 components/positions), and label generation decomposes
-into independent (configuration, workload) flow runs.  This module gives
+Label generation decomposes into independent (configuration, workload)
+flow runs, a DSE sweep into independent golden runs, and the Fig. 6
+sweep into independent training budgets.  (Model fits do not fan out:
+every sub-model fits in the calling thread, one
+:func:`~repro.ml.gbm.fit_many` call per power group.)  This module gives
 those fan-outs a single, deterministic execution surface:
 
 * :class:`SerialExecutor` — plain in-process loop (the reference),
 * :class:`ThreadExecutor` — a thread pool; useful when tasks release the
-  GIL (large numpy kernels) or to exercise the parallel paths cheaply,
-* :class:`ProcessExecutor` — a process pool for true multi-core fitting;
+  GIL or to exercise the parallel paths cheaply,
+* :class:`ProcessExecutor` — a process pool for true multi-core runs;
   requires picklable task functions and results and transparently falls
   back to the serial loop when they are not.
 
 Determinism contract: ``Executor.map`` submits tasks in iteration order
-and returns results in that same order, and every task payload carries its
-own seeds (``random_state`` fields), so the fitted state is numerically
-identical regardless of backend or worker count.
+and returns results in that same order, and every task is a pure function
+of its payload, so the results are identical regardless of backend or
+worker count.
 
 Worker-count resolution (first match wins):
 
@@ -169,19 +171,6 @@ class Executor:
 
     def map(self, fn, iterable) -> list:
         raise NotImplementedError
-
-    def map_chunks(self, fn, items) -> list:
-        """``fn`` over contiguous chunks of ``items``, one per worker.
-
-        ``fn`` takes a list and returns one result per element; the
-        results come back flattened in item order, so the chunking never
-        shows.  A serial executor makes one call over every item.
-        """
-        items = list(items)
-        k = min(self.n_jobs, len(items)) or 1
-        bounds = [len(items) * i // k for i in range(k + 1)]
-        chunks = [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-        return [result for part in self.map(fn, chunks) for result in part]
 
     def close(self) -> None:
         """Release the worker pool (no-op for the serial backend)."""

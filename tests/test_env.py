@@ -1,6 +1,7 @@
 """Tests for the central REPRO_* environment-variable registry."""
 
 import os
+import pathlib
 
 import pytest
 
@@ -77,6 +78,17 @@ class TestTables:
         lines = table.strip().splitlines()
         assert lines[0].startswith("| Variable ")
         assert len(lines) == 2 + len(env.REGISTRY)  # header + rule + rows
+
+    def test_readme_table_is_generated(self):
+        # The README's env table is the registry's output, verbatim;
+        # regenerate it with ``python -m repro env --markdown``.
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("| Variable | Type | Default | Purpose |")
+        end = start
+        while end < len(lines) and lines[end].startswith("|"):
+            end += 1
+        assert "\n".join(lines[start:end]) == env.markdown_table()
 
     def test_plain_table_mentions_defaults(self):
         text = env.plain_table()

@@ -1,12 +1,12 @@
-"""Tests for model serialization (repro.ml.serialize, repro.core.persistence)."""
+"""Tests for model serialization (repro.ml.serialize, repro.api.save_model/load_model)."""
 
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.arch.config import config_by_name
 from repro.arch.workloads import workload_by_name
 from repro.core.autopower import AutoPower
-from repro.core.persistence import load_autopower, save_autopower
 from repro.library.stdcell import TechLibrary
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.linear import RidgeRegression
@@ -97,8 +97,8 @@ class TestGbmRoundTrip:
 class TestAutoPowerRoundTrip:
     def test_save_load_identical_predictions(self, autopower2, flow, tmp_path):
         path = tmp_path / "autopower.json"
-        save_autopower(autopower2, path)
-        clone = load_autopower(path)
+        api.save_model(autopower2, path)
+        clone = api.load_model(path)
 
         for cname in ("C5", "C9"):
             config = config_by_name(cname)
@@ -111,8 +111,8 @@ class TestAutoPowerRoundTrip:
 
     def test_metadata_preserved(self, autopower2, tmp_path):
         path = tmp_path / "autopower.json"
-        save_autopower(autopower2, path)
-        clone = load_autopower(path)
+        api.save_model(autopower2, path)
+        clone = api.load_model(path)
         assert clone.train_config_names == autopower2.train_config_names
         assert clone.sram_model.c_constant_mw == pytest.approx(
             autopower2.sram_model.c_constant_mw
@@ -120,22 +120,22 @@ class TestAutoPowerRoundTrip:
 
     def test_unfitted_save_rejected(self, flow, tmp_path):
         with pytest.raises(ValueError):
-            save_autopower(AutoPower(library=flow.library), tmp_path / "x.json")
+            api.save_model(AutoPower(library=flow.library), tmp_path / "x.json")
 
     def test_library_mismatch_rejected(self, autopower2, tmp_path):
         path = tmp_path / "autopower.json"
-        save_autopower(autopower2, path)
+        api.save_model(autopower2, path)
         other = TechLibrary(name="synth28")
         with pytest.raises(ValueError, match="library"):
-            load_autopower(path, library=other)
+            api.load_model(path, library=other)
 
     def test_bad_version_rejected(self, autopower2, tmp_path):
         import json
 
         path = tmp_path / "autopower.json"
-        save_autopower(autopower2, path)
+        api.save_model(autopower2, path)
         state = json.loads(path.read_text())
         state["format_version"] = 99
         path.write_text(json.dumps(state))
         with pytest.raises(ValueError, match="version"):
-            load_autopower(path)
+            api.load_model(path)
